@@ -2,13 +2,14 @@
 # Exercise the distributed sweep's crash story end to end (docs/sweep.md):
 #
 #   1. reference run: single-process `dtncache_sweep --jobs 4 --no-wall`;
-#   2. coordinator + 2 TCP workers on localhost; once a few fragments are
-#      durable, SIGKILL one worker AND the coordinator mid-sweep;
-#   3. restart the coordinator with --resume plus a replacement worker and
-#      let it finish + merge;
-#   4. byte-compare JSONL/CSV/trace against the reference (cmp);
-#   5. repeat the sweep in spool mode (shared directory, no networking)
-#      with two concurrent workers and byte-compare the merge too.
+#   2. --spool-init a store and start 2 spool workers on it; once a few
+#      fragments are durable, SIGKILL one worker mid-sweep;
+#   3. flip a byte in one durable fragment, as a dying disk would;
+#   4. start a replacement worker with the default --lease-timeout: it
+#      breaks the dead worker's lease at once (its pid is gone), drops the
+#      corrupt fragment and re-runs that job, and the two live workers
+#      finish the store;
+#   5. --merge and byte-compare JSONL/CSV/trace against the reference (cmp).
 #
 # Exits non-zero the moment any step diverges — CI runs this as the
 # `sweep-distributed` job, and it doubles as a local demo of the recipes
@@ -54,104 +55,79 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# The whole point is byte identity, so every run (reference, both
-# coordinator generations, spool init) must describe the SAME sweep:
-# identical grid, --no-wall, and trace settings — they all feed the
-# manifest fingerprint.
+# The whole point is byte identity, so the reference run and the spool
+# init must describe the SAME sweep: identical grid, --no-wall, and trace
+# settings — they all feed the manifest fingerprint.
 sweep_args=(--trace=infocom --days=20 --schemes=all --seeds=4 --no-wall
             --trace-filter=job_start,job_done)
 jobs_total=28  # 7 schemes x 4 seeds
 
-wait_for_file() {  # path, tries (50ms each)
-  local i
-  for ((i = 0; i < $2; ++i)); do
-    [[ -s "$1" ]] && return 0
-    sleep 0.05
-  done
-  return 1
-}
-
-frag_count() { ls "$1/frags" 2>/dev/null | wc -l; }
+frag_count() { ls "$1/frags" 2>/dev/null | grep -c '\.frag$' || true; }
 
 echo "== reference: single-process --jobs 4 =="
 "$bin" "${sweep_args[@]}" --jobs=4 --quiet \
   --jsonl="$workdir/ref.jsonl" --csv="$workdir/ref.csv" \
   --trace-out="$workdir/ref.trace"
 
-echo "== distributed: coordinator + 2 workers, SIGKILL mid-sweep =="
+echo "== spool: init + 2 workers, SIGKILL one mid-sweep =="
 store="$workdir/store"
-"$bin" "${sweep_args[@]}" --store="$store" --coordinator --quiet \
-  --jsonl="$workdir/doomed.jsonl" --csv="$workdir/doomed.csv" \
-  --trace-out="$workdir/doomed.trace" &
-coord=$!; pids+=("$coord")
-wait_for_file "$store/coordinator.port" 200 || {
-  echo "error: coordinator never published $store/coordinator.port" >&2
-  exit 1
-}
-port="$(cat "$store/coordinator.port")"
-"$bin" --worker="127.0.0.1:$port" --quiet & w1=$!; pids+=("$w1")
-"$bin" --worker="127.0.0.1:$port" --quiet & w2=$!; pids+=("$w2")
+# --trace-out here only marks the manifest as traced; --merge writes it.
+"$bin" "${sweep_args[@]}" --store="$store" --spool-init --quiet \
+  --trace-out="$workdir/sp.trace"
+"$bin" --store="$store" --spool-worker --quiet & w1=$!; pids+=("$w1")
+"$bin" --store="$store" --spool-worker --quiet & w2=$!; pids+=("$w2")
 
-# Let some fragments become durable, then kill one worker and the
-# coordinator outright (kill -9: no flush, no goodbye).
-for ((i = 0; i < 400; ++i)); do
+# Let some fragments become durable, then kill one worker outright
+# (kill -9: no flush, no lease release).
+for ((i = 0; i < 1200; ++i)); do
   [[ "$(frag_count "$store")" -ge 4 ]] && break
   sleep 0.05
 done
-kill -9 "$w1" "$coord" 2>/dev/null || true
-wait "$coord" 2>/dev/null || true
+kill -9 "$w1" 2>/dev/null || true
 wait "$w1" 2>/dev/null || true
-wait "$w2" 2>/dev/null || true  # loses its connection and exits on its own
 survivors="$(frag_count "$store")"
 echo "   killed with $survivors/$jobs_total fragments durable"
-[[ "$survivors" -lt "$jobs_total" ]] || {
-  echo "error: sweep finished before the kill — grid too small for this host" >&2
+[[ "$survivors" -ge 4 && "$survivors" -lt "$jobs_total" ]] || {
+  echo "error: kill did not land mid-sweep ($survivors fragments) — grid too small for this host" >&2
   exit 1
 }
 
-echo "== resume: new coordinator + replacement worker =="
-rm -f "$store/coordinator.port"
-"$bin" "${sweep_args[@]}" --store="$store" --coordinator --resume --quiet \
-  --jsonl="$workdir/dist.jsonl" --csv="$workdir/dist.csv" \
-  --trace-out="$workdir/dist.trace" &
-coord=$!; pids+=("$coord")
-wait_for_file "$store/coordinator.port" 200 || {
-  echo "error: resumed coordinator never published its port" >&2
-  exit 1
-}
-port="$(cat "$store/coordinator.port")"
-"$bin" --worker="127.0.0.1:$port" --quiet & w3=$!; pids+=("$w3")
-wait "$coord" || { echo "error: resumed coordinator failed" >&2; exit 1; }
-wait "$w3" 2>/dev/null || true
-
+echo "== corrupt one durable fragment =="
+victim="$(ls "$store"/frags/*.frag | head -n 1)"
+python3 - "$victim" <<'PY'
+import sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[-1] ^= 0x40  # inside the CRC-guarded body
+open(path, "wb").write(data)
+PY
+echo "   flipped a byte in $(basename "$victim")"
 python3 scripts/trace_summarize.py --sweep-store "$store"
 
-for f in jsonl csv trace; do
-  cmp "$workdir/ref.$f" "$workdir/dist.$f" || {
-    echo "error: distributed $f output differs from the single-process reference" >&2
-    exit 1
-  }
-done
-echo "   distributed (killed + resumed) outputs byte-identical to --jobs 4"
+echo "== replacement worker, default --lease-timeout =="
+"$bin" --store="$store" --spool-worker --quiet & w3=$!; pids+=("$w3")
+wait "$w2" || { echo "error: surviving spool worker failed" >&2; exit 1; }
+wait "$w3" || { echo "error: replacement spool worker failed" >&2; exit 1; }
+[[ "$(frag_count "$store")" -eq "$jobs_total" ]] || {
+  echo "error: workers exited with $(frag_count "$store")/$jobs_total fragments" >&2
+  exit 1
+}
+[[ -z "$(ls "$store" | grep '^lease-' || true)" ]] || {
+  echo "error: lease files left behind in a complete store" >&2
+  exit 1
+}
 
-echo "== spool mode: shared-directory workers, no networking =="
-spool="$workdir/spool"
-"$bin" "${sweep_args[@]}" --store="$spool" --spool-init --quiet \
-  --trace-out="$workdir/sp.trace"
-"$bin" --store="$spool" --spool-worker --quiet & s1=$!; pids+=("$s1")
-"$bin" --store="$spool" --spool-worker --quiet & s2=$!; pids+=("$s2")
-wait "$s1" || { echo "error: spool worker 1 failed" >&2; exit 1; }
-wait "$s2" || { echo "error: spool worker 2 failed" >&2; exit 1; }
-"$bin" --store="$spool" --merge --quiet \
+echo "== merge and compare =="
+"$bin" --store="$store" --merge --quiet \
   --jsonl="$workdir/sp.jsonl" --csv="$workdir/sp.csv" \
   --trace-out="$workdir/sp.trace"
 for f in jsonl csv trace; do
   cmp "$workdir/ref.$f" "$workdir/sp.$f" || {
-    echo "error: spool $f output differs from the single-process reference" >&2
+    echo "error: merged $f output differs from the single-process reference" >&2
     exit 1
   }
 done
-echo "   spool outputs byte-identical to --jobs 4"
+echo "   merged outputs byte-identical to --jobs 4"
 
-echo "ok: distributed + spool sweeps reproduce the single-process bytes"
+echo "ok: spool sweep survives kill -9 and a corrupt fragment with the single-process bytes"
 [[ "$keep_workdir" -eq 1 ]] || rm -rf "$workdir"

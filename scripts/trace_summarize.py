@@ -14,11 +14,12 @@ per run fingerprint:
     version propagated through the caching set (pushes over time, time to
     first/median/last delivery before the next bump);
   - query outcome summary (local hits, delivered replies, fresh replies);
-  - with --sweep-store DIR (no trace file needed), a distributed-sweep
-    progress readout from the fragment store: jobs completed/total from the
-    coordinator's status.jsonl counters, fragment count and bytes on disk,
-    throughput in jobs/s from fragment mtimes, and an ETA for the jobs
-    still outstanding (see docs/sweep.md);
+  - with --sweep-store DIR (no trace file needed), a spool-sweep progress
+    readout from the fragment store: jobs completed/total (the total from
+    the status.jsonl line --spool-init writes), fragment count and bytes on
+    disk, throughput in jobs/s from fragment mtimes, an ETA for the jobs
+    still outstanding, and the in-flight leases with their holder and age
+    (see docs/sweep.md);
   - with --shard-map FILE, a shard-plan audit: per-shard node and contact
     load balance plus the cross-shard contact ratio, for sizing the sharded
     kernel (sim.shards, see docs/scaling.md). FILE holds one shard id per
@@ -158,17 +159,17 @@ def shard_summary(events, shard_map):
 
 
 def sweep_store_summary(store_dir):
-    """Progress/throughput readout for a distributed-sweep fragment store.
+    """Progress/throughput readout for a spool-sweep fragment store.
 
-    Reads the coordinator's status.jsonl (last counters line wins — the
-    coordinator rewrites cumulative totals) for the job ledger, and the
-    frags/ directory for on-disk completion. Throughput comes from fragment
-    mtimes, so it reflects this run's pace even after a resume: resumed
-    fragments keep their old mtimes and fall out of the recent window.
+    Reads `sweep.jobs_total` from the counters line `--spool-init` writes
+    to status.jsonl, the frags/ directory for on-disk completion, and the
+    `lease-<index>` files (body `<hostname> <pid>`) for the jobs in flight.
+    Throughput comes from fragment mtimes, so it reflects this run's pace
+    even after a resume: older fragments fall out of the recent window.
     """
     if not os.path.isdir(store_dir):
         raise SystemExit(f"error: sweep store {store_dir!r} is not a directory")
-    counters = {}
+    total = 0
     status_path = os.path.join(store_dir, "status.jsonl")
     try:
         with open(status_path) as f:
@@ -179,12 +180,11 @@ def sweep_store_summary(store_dir):
                 try:
                     event = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn tail of a live coordinator write
+                    continue  # not a JSON line; skip it
                 if event.get("kind") == "counters":
-                    counters = {k: v for k, v in event.items()
-                                if k.startswith("ctr.sweep.")}
+                    total = event.get("ctr.sweep.jobs_total", total)
     except OSError:
-        pass  # spool mode has no coordinator, hence no status file
+        pass  # not initialized with --spool-init (or not a store at all)
 
     frags = glob.glob(os.path.join(store_dir, "frags", "*.frag"))
     frag_bytes = 0
@@ -197,7 +197,6 @@ def sweep_store_summary(store_dir):
         frag_bytes += st.st_size
         mtimes.append(st.st_mtime)
 
-    total = counters.get("ctr.sweep.jobs_total", 0)
     done = len(frags)
     print(f"sweep store {store_dir}:")
     if total:
@@ -205,14 +204,26 @@ def sweep_store_summary(store_dir):
         print(f"  jobs: {done}/{total} complete ({pct:.1f}%)")
     else:
         print(f"  jobs: {done} fragment(s) on disk "
-              "(no coordinator status.jsonl — total unknown)")
-    for key, label in (("ctr.sweep.jobs_resumed", "resumed from store"),
-                       ("ctr.sweep.jobs_released", "leases released"),
-                       ("ctr.sweep.results_duplicate", "duplicate results"),
-                       ("ctr.sweep.fragments_invalid", "invalid fragments dropped")):
-        if counters.get(key):
-            print(f"    {label}: {counters[key]}")
+              "(no status.jsonl from --spool-init — total unknown)")
     print(f"  fragments: {done} file(s), {frag_bytes / 1024.0:.1f} KiB")
+
+    # In-flight work: who holds which lease, and for how long. A lease whose
+    # holder died on the same host is broken by the next worker there; one
+    # held from another host waits for --lease-timeout.
+    leases = []
+    now = time.time()
+    for path in glob.glob(os.path.join(store_dir, "lease-*")):
+        try:
+            age = now - os.stat(path).st_mtime
+            with open(path) as f:
+                holder = " ".join(f.read().split()) or "(holder unnamed)"
+        except OSError:
+            continue  # released while we looked
+        index = os.path.basename(path)[len("lease-"):]
+        leases.append((int(index) if index.isdigit() else -1, index, holder, age))
+    print(f"  leases in flight: {len(leases)}")
+    for _, index, holder, age in sorted(leases):
+        print(f"    job {index}: {holder}, {max(age, 0.0):.0f}s old")
 
     # Rate over the most recent write window: fragments older than 10x the
     # median inter-arrival gap (or a resumed store's pre-crash work) would
@@ -231,7 +242,7 @@ def sweep_store_summary(store_dir):
             idle = time.time() - max(mtimes)
             if idle > 60 and 0 < done < total:
                 print(f"  WARNING: newest fragment is {idle:.0f}s old — "
-                      "workers may be stalled or dead (check leases/)")
+                      "workers may be stalled or dead (see leases above)")
 
 
 def freshness_timelines(events, only_item=None):
@@ -372,8 +383,9 @@ def main():
                              "node-id order): print per-shard balance and "
                              "the cross-shard contact ratio")
     parser.add_argument("--sweep-store", metavar="DIR", default=None,
-                        help="distributed-sweep fragment store: print job "
-                             "progress, fragment footprint, jobs/s, and ETA")
+                        help="spool-sweep fragment store: print job "
+                             "progress, fragment footprint, jobs/s, ETA, "
+                             "and in-flight leases")
     args = parser.parse_args()
     args.shard_map_data = (load_shard_map(args.shard_map)
                            if args.shard_map else None)

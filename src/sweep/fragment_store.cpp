@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -81,6 +82,14 @@ void atomicWrite(const std::string& path, const std::uint8_t* data, std::size_t 
     ::unlink(tmp.c_str());
     DTNCACHE_CHECK_MSG(false, "cannot write " << path << ": " << std::strerror(errno));
   }
+}
+
+/// This host's name, or "" when it cannot be read (leases then carry no
+/// holder and fall back to the age rule).
+std::string hostName() {
+  char name[256] = {};
+  if (::gethostname(name, sizeof name - 1) != 0) return "";
+  return name;
 }
 
 void ensureDir(const std::string& path) {
@@ -176,16 +185,6 @@ std::string FragmentStore::put(const Fragment& fragment) const {
   return path;
 }
 
-bool FragmentStore::putBytes(const std::vector<std::uint8_t>& bytes,
-                             std::uint64_t sweepFp, Fragment* decoded) const {
-  Fragment fragment;
-  if (!decodeFragment(bytes.data(), bytes.size(), &fragment)) return false;
-  if (fragment.sweepFp != sweepFp) return false;
-  put(fragment);
-  if (decoded != nullptr) *decoded = std::move(fragment);
-  return true;
-}
-
 FragmentStore::ScanResult FragmentStore::scan(std::uint64_t sweepFp,
                                               bool dropInvalid) const {
   ScanResult result;
@@ -248,6 +247,12 @@ std::string FragmentStore::leasePath(std::uint64_t index) const {
 bool FragmentStore::tryLease(std::uint64_t index) const {
   const int fd = ::open(leasePath(index).c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
   if (fd < 0) return false;
+  // Best effort: a lease left empty (no host name, a crash before the
+  // write) simply falls back to the age rule.
+  if (const std::string host = hostName(); !host.empty()) {
+    const std::string holder = host + " " + std::to_string(::getpid()) + "\n";
+    writeAll(fd, reinterpret_cast<const std::uint8_t*>(holder.data()), holder.size());
+  }
   ::close(fd);
   return true;
 }
@@ -259,6 +264,14 @@ std::optional<double> FragmentStore::leaseAge(std::uint64_t index) const {
   ::gettimeofday(&now, nullptr);
   const double mtime = static_cast<double>(st.st_mtime);
   return std::max(0.0, static_cast<double>(now.tv_sec) - mtime);
+}
+
+bool FragmentStore::leaseHolderGone(std::uint64_t index) const {
+  std::ifstream in(leasePath(index));
+  std::string host;
+  long long pid = 0;
+  if (!(in >> host >> pid) || pid <= 0 || host != hostName()) return false;
+  return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
 }
 
 void FragmentStore::releaseLease(std::uint64_t index) const {

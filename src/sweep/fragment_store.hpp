@@ -19,8 +19,9 @@
 ///
 /// The store root also holds `manifest.txt` (the sweep's identity, see
 /// work_unit.hpp), `status.jsonl` (a counters line the trace tooling can
-/// read), and `lease-<index>` marker files used by the connectionless
-/// spool mode (O_EXCL creation = lease acquisition; age = staleness).
+/// read), and `lease-<index>` files used by spool workers: O_EXCL creation
+/// is lease acquisition, the body names the holder as `<hostname> <pid>`,
+/// and the mtime gives the lease's age.
 
 #include <cstdint>
 #include <iosfwd>
@@ -66,12 +67,6 @@ class FragmentStore {
   /// Write a fragment (temp + rename). Returns the final path.
   std::string put(const Fragment& fragment) const;
 
-  /// Validate raw fragment bytes against the expected sweep and store them.
-  /// Returns false (nothing written) if the bytes do not decode or belong
-  /// to a different sweep.
-  bool putBytes(const std::vector<std::uint8_t>& bytes, std::uint64_t sweepFp,
-                Fragment* decoded = nullptr) const;
-
   struct ScanResult {
     /// Valid fragments of this sweep: job index -> file path. With
     /// duplicates (same index twice), the lexicographically first path wins.
@@ -90,18 +85,22 @@ class FragmentStore {
   /// Any `job-<index>-*.frag` file present (no validation — existence only).
   /// Spool workers re-check this after acquiring a lease: a writer releases
   /// its lease only after the fragment rename, so lease-then-check cannot
-  /// miss a completed unit, making duplicate runs impossible rather than
-  /// merely idempotent.
+  /// miss a completed unit.
   bool hasFragment(std::uint64_t index) const;
 
-  // -- spool-mode leases ------------------------------------------------------
+  // -- spool leases -----------------------------------------------------------
 
-  /// O_EXCL-create `<dir>/lease-<index>`. True if this process now holds
-  /// the lease.
+  /// O_EXCL-create `<dir>/lease-<index>` holding `<hostname> <pid>\n`. True
+  /// if this process now holds the lease.
   bool tryLease(std::uint64_t index) const;
 
   /// Age of the lease file in seconds (mtime-based); nullopt if absent.
   std::optional<double> leaseAge(std::uint64_t index) const;
+
+  /// True when the lease names a process on this host that no longer exists
+  /// (`kill(pid, 0)` fails with ESRCH). False for a live holder, a holder on
+  /// another host, an unreadable or half-written lease, or no lease.
+  bool leaseHolderGone(std::uint64_t index) const;
 
   /// Remove the lease marker (idempotent).
   void releaseLease(std::uint64_t index) const;

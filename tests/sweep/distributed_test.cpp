@@ -2,12 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -75,321 +74,26 @@ Reference mergedStore(const std::string& storeDir, const SweepManifest& manifest
   return {jsonl.str(), csv.str(), traceOut.str()};
 }
 
-// ---- wire codec -------------------------------------------------------------
-
-TEST(SweepWire, AllFrameTypesRoundTrip) {
-  WireHelloAck ack;
-  ack.ok = 1;
-  ack.sweepFp = 0xfeedface12345678ull;
-  ack.jobsTotal = 42;
-  ack.manifest = "dtncache-sweep-manifest 1\nconfig\n{}";
-  WireResult result;
-  result.fragment = {0x01, 0x02, 0xff, 0x00, 0x7f};
-
-  const std::vector<SweepFrame> frames = {
-      WireHello{0xabcdull}, ack,
-      WireLeaseRequest{},   WireLeaseGrant{WorkUnit{7, 0x1111ull, 99}},
-      WireNoWork{1, 250},   result,
-      WireResultAck{7, 1},  WireBye{}};
-  for (const auto& frame : frames) {
-    const auto bytes = encodeSweepFrame(frame);
-    const auto decoded = decodeSweepFrame(bytes.data(), bytes.size());
-    ASSERT_EQ(decoded.status, SweepDecodeStatus::kFrame);
-    EXPECT_EQ(decoded.consumed, bytes.size());
-    ASSERT_TRUE(decoded.frame.has_value());
-    EXPECT_EQ(sweepFrameTypeOf(*decoded.frame), sweepFrameTypeOf(frame));
-  }
-
-  // Spot-check payload fidelity on the data-bearing frames.
-  const auto ackBytes = encodeSweepFrame(ack);
-  const auto ackBack = decodeSweepFrame(ackBytes.data(), ackBytes.size());
-  const auto& ackDecoded = std::get<WireHelloAck>(*ackBack.frame);
-  EXPECT_EQ(ackDecoded.sweepFp, ack.sweepFp);
-  EXPECT_EQ(ackDecoded.jobsTotal, ack.jobsTotal);
-  EXPECT_EQ(ackDecoded.manifest, ack.manifest);
-  const auto resultBytes = encodeSweepFrame(result);
-  const auto resultBack = decodeSweepFrame(resultBytes.data(), resultBytes.size());
-  EXPECT_EQ(std::get<WireResult>(*resultBack.frame).fragment, result.fragment);
+std::string thisHost() {
+  char name[256] = {};
+  ::gethostname(name, sizeof name - 1);
+  return name;
 }
 
-TEST(SweepWire, PartialFramesNeedMore) {
-  const auto bytes = encodeSweepFrame(WireLeaseGrant{WorkUnit{1, 2, 3}});
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut)
-    EXPECT_EQ(decodeSweepFrame(bytes.data(), cut).status,
-              SweepDecodeStatus::kNeedMore)
-        << "cut=" << cut;
+/// The pid of a child that has exited and been reaped: a process that no
+/// longer exists, as a `kill -9`'d worker's would be.
+pid_t reapedPid() {
+  const pid_t child = ::fork();
+  if (child == 0) ::_exit(0);
+  ::waitpid(child, nullptr, 0);
+  return child;
 }
 
-TEST(SweepWire, RejectsCorruptHeaders) {
-  auto bytes = encodeSweepFrame(WireHello{1});
-  bytes[0] ^= 0xff;  // magic
-  EXPECT_EQ(decodeSweepFrame(bytes.data(), bytes.size()).status,
-            SweepDecodeStatus::kReject);
-
-  bytes = encodeSweepFrame(WireHello{1});
-  bytes[4] = 99;  // version
-  EXPECT_EQ(decodeSweepFrame(bytes.data(), bytes.size()).status,
-            SweepDecodeStatus::kReject);
-
-  bytes = encodeSweepFrame(WireHello{1});
-  bytes[5] = 200;  // unknown type
-  EXPECT_EQ(decodeSweepFrame(bytes.data(), bytes.size()).status,
-            SweepDecodeStatus::kReject);
-
-  bytes = encodeSweepFrame(WireBye{});
-  bytes[8] = 3;  // bye with payload length but no payload bytes follow
-  EXPECT_EQ(decodeSweepFrame(bytes.data(), bytes.size()).status,
-            SweepDecodeStatus::kNeedMore);
-}
-
-TEST(SweepWire, FuzzNeverMisbehaves) {
-  std::mt19937_64 rng(7);
-  for (int round = 0; round < 2000; ++round) {
-    std::vector<std::uint8_t> bytes(rng() % 64);
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
-    if (round % 3 == 0 && bytes.size() >= 6) {
-      // Bias toward plausible headers so payload parsing is exercised too.
-      bytes[0] = 0x44; bytes[1] = 0x54; bytes[2] = 0x4e; bytes[3] = 0x57;
-      bytes[4] = kSweepWireVersion;
-      bytes[5] = static_cast<std::uint8_t>(1 + rng() % 8);
-    }
-    const auto decoded = decodeSweepFrame(bytes.data(), bytes.size());
-    if (decoded.status == SweepDecodeStatus::kFrame) {
-      EXPECT_LE(decoded.consumed, bytes.size());
-      EXPECT_TRUE(decoded.frame.has_value());
-    }
-  }
-}
-
-// ---- coordinator + workers --------------------------------------------------
-
-TEST(Distributed, CoordinatorTwoWorkersByteIdenticalToEngine) {
-  const SweepManifest manifest = tinyManifest();
-  const Reference reference = engineReference(manifest);
-  const std::string storeDir = tempStore("coord_two");
-
-  CoordinatorOptions coordinatorOptions;
-  coordinatorOptions.storeDir = storeDir;
-  coordinatorOptions.quiet = true;
-  CoordinatorReport coordinatorReport;
-  std::thread coordinator([&] {
-    coordinatorReport = runCoordinator(manifest, coordinatorOptions);
-  });
-
-  // The port file is written before the loop serves, so polling it is a
-  // race-free rendezvous.
-  const FragmentStore store(storeDir);
-  std::optional<std::string> portText;
-  for (int i = 0; i < 200 && !portText.has_value(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    portText = store.readFile("coordinator.port");
-  }
-  ASSERT_TRUE(portText.has_value()) << "coordinator never published its port";
-  WorkerOptions workerOptions;
-  workerOptions.port = static_cast<std::uint16_t>(std::stoul(*portText));
-  workerOptions.quiet = true;
-
-  WorkerReport w1, w2;
-  std::thread workerA([&] { w1 = runWorkerClient(workerOptions); });
-  std::thread workerB([&] { w2 = runWorkerClient(workerOptions); });
-  workerA.join();
-  workerB.join();
-  coordinator.join();
-
-  EXPECT_EQ(coordinatorReport.jobsTotal, 4u);
-  EXPECT_EQ(coordinatorReport.completed, 4u);
-  EXPECT_EQ(w1.completed + w2.completed, 4u);
-
-  const Reference merged = mergedStore(storeDir, manifest);
-  EXPECT_EQ(merged.jsonl, reference.jsonl);
-  EXPECT_EQ(merged.csv, reference.csv);
-  EXPECT_EQ(merged.trace, reference.trace);
-}
-
-TEST(Distributed, ResumeRequiresFlagAndSkipsCompleted) {
-  const SweepManifest manifest = tinyManifest();
-  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
-  const std::string storeDir = tempStore("resume_skip");
-  const FragmentStore store(storeDir);
-  const auto jobs = expandGrid(manifest.grid);
-  for (const auto& job : jobs) store.put(runWorkUnitFragment(manifest, sweepFp, job));
-
-  CoordinatorOptions options;
-  options.storeDir = storeDir;
-  options.quiet = true;
-  EXPECT_THROW(runCoordinator(manifest, options), InvariantViolation);
-
-  options.resume = true;
-  const auto report = runCoordinator(manifest, options);
-  EXPECT_EQ(report.resumed, jobs.size());
-  EXPECT_EQ(report.completed, 0u);  // nothing left to serve
-}
-
-TEST(Distributed, ResumeRequeuesCorruptFragments) {
-  const SweepManifest manifest = tinyManifest();
-  const Reference reference = engineReference(manifest);
-  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
-  const std::string storeDir = tempStore("resume_corrupt");
-  {
-    const FragmentStore store(storeDir);
-    const auto jobs = expandGrid(manifest.grid);
-    for (const auto& job : jobs) {
-      if (job.index == 2) {
-        // Bank a bit-flipped fragment for job 2: resume must drop and re-run.
-        auto bytes = encodeFragment(runWorkUnitFragment(manifest, sweepFp, job));
-        bytes[bytes.size() - 1] ^= 0x40;
-        std::ofstream out(storeDir + "/frags/job-0000000002-00000bad.frag",
-                          std::ios::binary);
-        out.write(reinterpret_cast<const char*>(bytes.data()),
-                  static_cast<long>(bytes.size()));
-      } else {
-        store.put(runWorkUnitFragment(manifest, sweepFp, job));
-      }
-    }
-  }
-
-  CoordinatorOptions coordinatorOptions;
-  coordinatorOptions.storeDir = storeDir;
-  coordinatorOptions.resume = true;
-  coordinatorOptions.quiet = true;
-  CoordinatorReport coordinatorReport;
-  std::thread coordinator([&] {
-    coordinatorReport = runCoordinator(manifest, coordinatorOptions);
-  });
-  const FragmentStore store(storeDir);
-  std::optional<std::string> portText;
-  for (int i = 0; i < 200 && !portText.has_value(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    portText = store.readFile("coordinator.port");
-  }
-  ASSERT_TRUE(portText.has_value());
-  WorkerOptions workerOptions;
-  workerOptions.port = static_cast<std::uint16_t>(std::stoul(*portText));
-  workerOptions.quiet = true;
-  const auto workerReport = runWorkerClient(workerOptions);
-  coordinator.join();
-
-  EXPECT_EQ(coordinatorReport.invalidDropped, 1u);
-  EXPECT_EQ(coordinatorReport.resumed, 3u);
-  EXPECT_EQ(coordinatorReport.completed, 1u);
-  EXPECT_EQ(workerReport.completed, 1u);
-
-  const Reference merged = mergedStore(storeDir, manifest);
-  EXPECT_EQ(merged.jsonl, reference.jsonl);
-  EXPECT_EQ(merged.csv, reference.csv);
-  EXPECT_EQ(merged.trace, reference.trace);
-}
-
-// ---- duplicate-result idempotence -------------------------------------------
-
-/// Minimal blocking protocol client, so the test can violate the normal
-/// worker discipline (send the same result twice).
-class RawClient {
- public:
-  bool connectTo(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
-  }
-  ~RawClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool send(const SweepFrame& frame) {
-    const auto bytes = encodeSweepFrame(frame);
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-      if (n <= 0) return false;
-      done += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-  std::optional<SweepFrame> recv() {
-    for (;;) {
-      const auto decoded = decodeSweepFrame(in_.data(), in_.size());
-      if (decoded.status == SweepDecodeStatus::kFrame) {
-        in_.erase(in_.begin(), in_.begin() + static_cast<long>(decoded.consumed));
-        return decoded.frame;
-      }
-      if (decoded.status == SweepDecodeStatus::kReject) return std::nullopt;
-      std::uint8_t buf[4096];
-      const ssize_t n = ::read(fd_, buf, sizeof buf);
-      if (n <= 0) return std::nullopt;
-      in_.insert(in_.end(), buf, buf + n);
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::vector<std::uint8_t> in_;
-};
-
-TEST(Distributed, DuplicateResultIsAckedAndDiscarded) {
-  SweepManifest manifest = tinyManifest();
-  manifest.grid.schemes = {runner::SchemeKind::kHierarchical};
-  manifest.grid.seeds = {3, 4};  // two jobs
-  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
-  const std::string storeDir = tempStore("dup_ack");
-
-  CoordinatorOptions coordinatorOptions;
-  coordinatorOptions.storeDir = storeDir;
-  coordinatorOptions.quiet = true;
-  CoordinatorReport coordinatorReport;
-  std::thread coordinator([&] {
-    coordinatorReport = runCoordinator(manifest, coordinatorOptions);
-  });
-  const FragmentStore store(storeDir);
-  std::optional<std::string> portText;
-  for (int i = 0; i < 200 && !portText.has_value(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    portText = store.readFile("coordinator.port");
-  }
-  ASSERT_TRUE(portText.has_value());
-  const auto port = static_cast<std::uint16_t>(std::stoul(*portText));
-
-  const auto jobs = expandGrid(manifest.grid);
-  RawClient client;
-  ASSERT_TRUE(client.connectTo(port));
-  ASSERT_TRUE(client.send(WireHello{sweepFp}));
-  const auto helloAck = client.recv();
-  ASSERT_TRUE(helloAck.has_value());
-  ASSERT_NE(std::get_if<WireHelloAck>(&*helloAck), nullptr);
-
-  // Lease job 0 and complete it twice. The second result must come back
-  // acked as a duplicate, not tear the store or double-count.
-  ASSERT_TRUE(client.send(WireLeaseRequest{}));
-  const auto lease = client.recv();
-  ASSERT_TRUE(lease.has_value());
-  const auto* grant = std::get_if<WireLeaseGrant>(&*lease);
-  ASSERT_NE(grant, nullptr);
-  const auto fragment =
-      encodeFragment(runWorkUnitFragment(manifest, sweepFp, jobs[grant->unit.index]));
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    ASSERT_TRUE(client.send(WireResult{fragment}));
-    const auto ack = client.recv();
-    ASSERT_TRUE(ack.has_value());
-    const auto* resultAck = std::get_if<WireResultAck>(&*ack);
-    ASSERT_NE(resultAck, nullptr);
-    EXPECT_EQ(resultAck->index, grant->unit.index);
-    EXPECT_EQ(resultAck->duplicate, attempt == 0 ? 0 : 1);
-  }
-
-  // Finish the sweep cleanly with a normal worker.
-  WorkerOptions workerOptions;
-  workerOptions.port = port;
-  workerOptions.quiet = true;
-  runWorkerClient(workerOptions);
-  client.send(WireBye{});
-  coordinator.join();
-
-  EXPECT_EQ(coordinatorReport.completed, jobs.size());
-  EXPECT_EQ(coordinatorReport.duplicates, 1u);
-  // Exactly one valid fragment per job survived the duplicate.
-  EXPECT_EQ(store.scan(sweepFp, false).valid.size(), jobs.size());
+/// Plant a lease file naming `host`/`pid` as its holder, as tryLease would.
+void writeLease(const std::string& storeDir, std::uint64_t index,
+                const std::string& host, pid_t pid) {
+  std::ofstream(storeDir + "/lease-" + std::to_string(index))
+      << host << ' ' << pid << '\n';
 }
 
 // ---- spool mode: randomized kill-and-resume ---------------------------------
@@ -445,6 +149,201 @@ TEST(Distributed, SpoolWorkersRunConcurrently) {
   EXPECT_TRUE(r1.allDone);
   EXPECT_TRUE(r2.allDone);
   EXPECT_EQ(r1.completed + r2.completed, 4u);
+
+  const Reference merged = mergedStore(storeDir, manifest);
+  EXPECT_EQ(merged.jsonl, reference.jsonl);
+  EXPECT_EQ(merged.csv, reference.csv);
+  EXPECT_EQ(merged.trace, reference.trace);
+}
+
+// ---- spoolInit as coordinator, worker processes -------------------------------
+
+TEST(Distributed, CoordinatorTwoWorkersByteIdenticalToEngine) {
+  // spoolInit does all the coordinating there is: it publishes the manifest
+  // and the job count. The two workers are separate processes, as the CLI
+  // runs them, so each sees the other's leases naming a live pid on this
+  // host and must leave them alone.
+  const SweepManifest manifest = tinyManifest();
+  const Reference reference = engineReference(manifest);
+  const std::string storeDir = tempStore("coord_two");
+  ASSERT_EQ(spoolInit(manifest, storeDir), 4u);
+  const auto status = FragmentStore(storeDir).readFile("status.jsonl");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_NE(status->find("\"ctr.sweep.jobs_total\": 4"), std::string::npos) << *status;
+
+  // Each child exits with its completion count (255 = it threw or never
+  // saw the store complete).
+  auto spawnWorker = [&storeDir] {
+    const pid_t child = ::fork();
+    if (child == 0) {
+      int code = 255;
+      try {
+        SpoolWorkerOptions options;
+        options.storeDir = storeDir;
+        options.quiet = true;
+        const SpoolReport report = runSpoolWorker(options);
+        if (report.allDone) code = static_cast<int>(report.completed);
+      } catch (...) {
+      }
+      ::_exit(code);
+    }
+    return child;
+  };
+  const pid_t workerA = spawnWorker();
+  const pid_t workerB = spawnWorker();
+  ASSERT_GT(workerA, 0);
+  ASSERT_GT(workerB, 0);
+  int statusA = 0, statusB = 0;
+  ASSERT_EQ(::waitpid(workerA, &statusA, 0), workerA);
+  ASSERT_EQ(::waitpid(workerB, &statusB, 0), workerB);
+  ASSERT_TRUE(WIFEXITED(statusA));
+  ASSERT_TRUE(WIFEXITED(statusB));
+  EXPECT_NE(WEXITSTATUS(statusA), 255);
+  EXPECT_NE(WEXITSTATUS(statusB), 255);
+  EXPECT_EQ(WEXITSTATUS(statusA) + WEXITSTATUS(statusB), 4);
+
+  const Reference merged = mergedStore(storeDir, manifest);
+  EXPECT_EQ(merged.jsonl, reference.jsonl);
+  EXPECT_EQ(merged.csv, reference.csv);
+  EXPECT_EQ(merged.trace, reference.trace);
+}
+
+TEST(Distributed, ResumeRequiresFlagAndSkipsCompleted) {
+  // A spool store needs no resume flag; what guards a non-empty store is
+  // its manifest. spoolInit refuses a store holding a different sweep,
+  // accepts the same sweep again, and a worker then runs nothing.
+  const SweepManifest manifest = tinyManifest();
+  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
+  const std::string storeDir = tempStore("resume_skip");
+  spoolInit(manifest, storeDir);
+  {
+    const FragmentStore store(storeDir);
+    for (const auto& job : expandGrid(manifest.grid))
+      store.put(runWorkUnitFragment(manifest, sweepFp, job));
+  }
+
+  SweepManifest other = manifest;
+  other.grid.seeds = {5, 6};
+  EXPECT_THROW(spoolInit(other, storeDir), InvariantViolation);
+
+  EXPECT_EQ(spoolInit(manifest, storeDir), 4u);
+  SpoolWorkerOptions options;
+  options.storeDir = storeDir;
+  options.quiet = true;
+  const SpoolReport report = runSpoolWorker(options);
+  EXPECT_TRUE(report.allDone);
+  EXPECT_EQ(report.completed, 0u);  // nothing left to run
+}
+
+TEST(Distributed, ResumeRequeuesCorruptFragments) {
+  const SweepManifest manifest = tinyManifest();
+  const Reference reference = engineReference(manifest);
+  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
+  const std::string storeDir = tempStore("resume_corrupt");
+  spoolInit(manifest, storeDir);
+  {
+    const FragmentStore store(storeDir);
+    for (const auto& job : expandGrid(manifest.grid)) {
+      if (job.index == 2) {
+        // Bank a bit-flipped fragment for job 2: resume must drop and re-run.
+        auto bytes = encodeFragment(runWorkUnitFragment(manifest, sweepFp, job));
+        bytes[bytes.size() - 1] ^= 0x40;
+        std::ofstream out(storeDir + "/frags/job-0000000002-00000bad.frag",
+                          std::ios::binary);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<long>(bytes.size()));
+      } else {
+        store.put(runWorkUnitFragment(manifest, sweepFp, job));
+      }
+    }
+  }
+
+  // Resuming a spool store is just starting a worker against it.
+  SpoolWorkerOptions options;
+  options.storeDir = storeDir;
+  options.quiet = true;
+  const SpoolReport report = runSpoolWorker(options);
+  EXPECT_TRUE(report.allDone);
+  EXPECT_EQ(report.completed, 1u);  // only the corrupt job ran again
+  EXPECT_FALSE(std::filesystem::exists(storeDir +
+                                       "/frags/job-0000000002-00000bad.frag"));
+
+  const Reference merged = mergedStore(storeDir, manifest);
+  EXPECT_EQ(merged.jsonl, reference.jsonl);
+  EXPECT_EQ(merged.csv, reference.csv);
+  EXPECT_EQ(merged.trace, reference.trace);
+}
+
+// ---- spool leases: holder liveness ------------------------------------------
+
+TEST(Distributed, SpoolBreaksLeaseOfDeadHolderAtOnce) {
+  const SweepManifest manifest = tinyManifest();
+  const Reference reference = engineReference(manifest);
+  const std::string storeDir = tempStore("spool_dead_holder");
+  spoolInit(manifest, storeDir);
+  // A worker on this host was kill -9'd while holding job 1.
+  writeLease(storeDir, 1, thisHost(), reapedPid());
+
+  // Default lease timeout: only the holder check can free job 1 in time.
+  SpoolWorkerOptions options;
+  options.storeDir = storeDir;
+  options.quiet = true;
+  SpoolReport report;
+  std::atomic<bool> finished{false};
+  std::thread worker([&] {
+    report = runSpoolWorker(options);
+    finished = true;
+  });
+  for (int i = 0; i < 400 && !finished; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  const bool brokeAtOnce = finished;
+  if (!brokeAtOnce) FragmentStore(storeDir).releaseLease(1);  // unblock the worker
+  worker.join();
+  EXPECT_TRUE(brokeAtOnce) << "a dead holder's lease waited for the timeout";
+  EXPECT_TRUE(report.allDone);
+  EXPECT_EQ(report.completed, 4u);
+
+  const Reference merged = mergedStore(storeDir, manifest);
+  EXPECT_EQ(merged.jsonl, reference.jsonl);
+  EXPECT_EQ(merged.csv, reference.csv);
+  EXPECT_EQ(merged.trace, reference.trace);
+}
+
+TEST(Distributed, SpoolKeepsLeasesOfLiveOrRemoteHolders) {
+  const SweepManifest manifest = tinyManifest();
+  const Reference reference = engineReference(manifest);
+  const std::uint64_t sweepFp = sweepFingerprint(encodeManifest(manifest));
+  const std::string storeDir = tempStore("spool_live_holder");
+  spoolInit(manifest, storeDir);
+  // Job 1 is held by a live process on this host (this one). Job 2 is held
+  // by a pid on another host, which cannot be checked from here, so only
+  // the age rule may break it.
+  writeLease(storeDir, 1, thisHost(), ::getpid());
+  writeLease(storeDir, 2, "other-host.invalid", reapedPid());
+
+  SpoolWorkerOptions options;
+  options.storeDir = storeDir;
+  options.quiet = true;
+  SpoolReport report;
+  std::thread worker([&] { report = runSpoolWorker(options); });
+
+  // The worker finishes the two free jobs, then can only wait.
+  const FragmentStore store(storeDir);
+  for (int i = 0; i < 400 && store.scan(sweepFp, false).valid.size() < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  std::this_thread::sleep_for(std::chrono::milliseconds(350));  // several passes
+  EXPECT_EQ(store.scan(sweepFp, false).valid.size(), 2u);
+  EXPECT_FALSE(store.hasFragment(1));
+  EXPECT_FALSE(store.hasFragment(2));
+  EXPECT_TRUE(store.leaseAge(1).has_value());
+  EXPECT_TRUE(store.leaseAge(2).has_value());
+
+  // The holders let go; the waiting worker picks both jobs up.
+  store.releaseLease(1);
+  store.releaseLease(2);
+  worker.join();
+  EXPECT_TRUE(report.allDone);
+  EXPECT_EQ(report.completed, 4u);
 
   const Reference merged = mergedStore(storeDir, manifest);
   EXPECT_EQ(merged.jsonl, reference.jsonl);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -131,22 +134,6 @@ TEST(FragmentStoreTest, ScanDropsTornAndFlippedFragments) {
   EXPECT_EQ(rescanned.valid.size(), 1u);
 }
 
-TEST(FragmentStoreTest, PutBytesValidatesSweep) {
-  FragmentStore store(tempStore("put_bytes"));
-  const Fragment fragment = sampleFragment();
-  const auto bytes = encodeFragment(fragment);
-
-  EXPECT_FALSE(store.putBytes(bytes, fragment.sweepFp + 1));  // foreign sweep
-  auto corrupt = bytes;
-  corrupt.back() ^= 1;
-  EXPECT_FALSE(store.putBytes(corrupt, fragment.sweepFp));
-
-  Fragment decoded;
-  ASSERT_TRUE(store.putBytes(bytes, fragment.sweepFp, &decoded));
-  EXPECT_EQ(decoded.jobIndex, fragment.jobIndex);
-  EXPECT_EQ(store.scan(fragment.sweepFp, false).valid.size(), 1u);
-}
-
 TEST(FragmentStoreTest, LeasesAreExclusive) {
   FragmentStore store(tempStore("leases"));
   EXPECT_FALSE(store.leaseAge(5).has_value());
@@ -157,6 +144,38 @@ TEST(FragmentStoreTest, LeasesAreExclusive) {
   store.releaseLease(5);
   EXPECT_FALSE(store.leaseAge(5).has_value());
   EXPECT_TRUE(store.tryLease(5));  // reacquirable after release
+}
+
+TEST(FragmentStoreTest, LeaseNamesItsHolder) {
+  FragmentStore store(tempStore("lease_holder"));
+  const std::string path = store.dir() + "/lease-3";
+  char host[256] = {};
+  ::gethostname(host, sizeof host - 1);
+
+  ASSERT_TRUE(store.tryLease(3));
+  std::string holderHost;
+  long long holderPid = 0;
+  std::ifstream(path) >> holderHost >> holderPid;
+  EXPECT_EQ(holderHost, host);
+  EXPECT_EQ(holderPid, ::getpid());
+  EXPECT_FALSE(store.leaseHolderGone(3));  // this process is alive
+
+  // A holder on this host whose process has exited and been reaped.
+  const pid_t dead = ::fork();
+  if (dead == 0) ::_exit(0);
+  ::waitpid(dead, nullptr, 0);
+  std::ofstream(path) << host << ' ' << dead << '\n';
+  EXPECT_TRUE(store.leaseHolderGone(3));
+
+  // The same pid on another host cannot be checked from here.
+  std::ofstream(path) << "other-host.invalid " << dead << '\n';
+  EXPECT_FALSE(store.leaseHolderGone(3));
+
+  // A lease whose holder died before naming itself, and no lease at all.
+  std::ofstream{path};
+  EXPECT_FALSE(store.leaseHolderGone(3));
+  store.releaseLease(3);
+  EXPECT_FALSE(store.leaseHolderGone(3));
 }
 
 /// The core byte-identity property at the unit level: fragments produced by
