@@ -1,40 +1,108 @@
 #include "cache/centrality.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 
 #include "sim/assert.hpp"
 
 namespace dtncache::cache {
+namespace {
+
+/// Meeting probabilities straight from a rate matrix (the batch functions).
+struct MatrixProbs {
+  const trace::RateMatrix& rates;
+  sim::SimTime window;
+  double defaultP;
+
+  std::size_t nodeCount() const { return rates.nodeCount(); }
+  template <typename F>
+  void forEachStored(NodeId i, F&& f) const {
+    rates.forEachNeighbor(i, [&](NodeId j, double r) { f(j, trace::contactProbability(r, window)); });
+  }
+  double lookup(NodeId i, NodeId j) const { return rates.meetingProbability(i, j, window); }
+};
+
+/// Meeting probabilities from a CentralityState's cache.
+struct CachedProbs {
+  const trace::PairIndex& index;
+  const std::vector<double>& probs;
+  double defaultP;
+
+  std::size_t nodeCount() const { return index.nodeCount(); }
+  template <typename F>
+  void forEachStored(NodeId i, F&& f) const {
+    index.forEachNeighbor(i, [&](NodeId j, std::uint32_t slot) { f(j, probs[slot]); });
+  }
+  double lookup(NodeId i, NodeId j) const {
+    const std::uint32_t slot = index.find(i, j);
+    return slot == trace::PairIndex::kNoSlot ? defaultP : probs[slot];
+  }
+};
+
+/// f(j, P(i meets j)) in ascending j for every j != i whose P can be
+/// nonzero: the stored pairs when the default P is 0 (skipping exact 0.0
+/// terms changes no sum, product or comparison), every j otherwise.
+template <typename Probs, typename F>
+void forEachMeeting(const Probs& probs, NodeId i, F&& f) {
+  if (probs.defaultP == 0.0) {
+    probs.forEachStored(i, f);
+    return;
+  }
+  const std::size_t n = probs.nodeCount();
+  for (NodeId j = 0; j < n; ++j)
+    if (j != i) f(j, probs.lookup(i, j));
+}
+
+template <typename Probs>
+double capabilityOf(const Probs& probs, NodeId i) {
+  const std::size_t n = probs.nodeCount();
+  double sum = 0.0;
+  forEachMeeting(probs, i, [&](NodeId, double p) { sum += p; });
+  return n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
+}
+
+/// The greedy marginal-coverage pass shared by both selectNcls overloads.
+template <typename Probs>
+void greedyNcls(const Probs& probs, std::size_t k, std::vector<double>& notCovered,
+                std::vector<char>& isChosen, std::vector<NodeId>& chosen) {
+  const std::size_t n = probs.nodeCount();
+  k = std::min(k, n);
+  chosen.clear();
+  // notCovered[j] = P(no chosen NCL meets j within the window).
+  notCovered.assign(n, 1.0);
+  isChosen.assign(n, 0);
+  for (std::size_t pick = 0; pick < k; ++pick) {
+    NodeId best = kNoNode;
+    double bestGain = -1.0;
+    for (NodeId cand = 0; cand < n; ++cand) {
+      if (isChosen[cand]) continue;
+      double gain = 0.0;
+      forEachMeeting(probs, cand, [&](NodeId j, double p) {
+        if (!isChosen[j]) gain += notCovered[j] * p;
+      });
+      if (gain > bestGain) {
+        bestGain = gain;
+        best = cand;
+      }
+    }
+    DTNCACHE_CHECK(best != kNoNode);
+    isChosen[best] = 1;
+    chosen.push_back(best);
+    forEachMeeting(probs, best, [&](NodeId j, double p) { notCovered[j] *= 1.0 - p; });
+  }
+}
+
+MatrixProbs matrixProbs(const trace::RateMatrix& rates, sim::SimTime window) {
+  return {rates, window, trace::contactProbability(rates.defaultRate(), window)};
+}
+
+}  // namespace
 
 std::vector<double> contactCapability(const trace::RateMatrix& rates, sim::SimTime window) {
   DTNCACHE_CHECK(window > 0.0);
-  const std::size_t n = rates.nodeCount();
-  std::vector<double> cap(n, 0.0);
-  if (!rates.isSparse()) {
-    for (NodeId i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (NodeId j = 0; j < n; ++j)
-        if (j != i) sum += rates.meetingProbability(i, j, window);
-      cap[i] = n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
-    }
-    return cap;
-  }
-  // Sparse: stored neighbors (ascending, matching the dense j-order on the
-  // pairs that exist) plus the closed-form default term for the rest. With
-  // defaultRate == 0 the default term is exactly 0.0 and the two paths are
-  // bit-identical.
-  const double defaultP = trace::contactProbability(rates.defaultRate(), window);
-  for (NodeId i = 0; i < n; ++i) {
-    double sum = 0.0;
-    rates.forEachNeighbor(i, [&](NodeId, double r) {
-      sum += trace::contactProbability(r, window);
-    });
-    if (defaultP > 0.0)
-      sum += defaultP * static_cast<double>(n - 1 - rates.neighborCount(i));
-    cap[i] = n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
-  }
+  const MatrixProbs probs = matrixProbs(rates, window);
+  std::vector<double> cap(rates.nodeCount(), 0.0);
+  for (NodeId i = 0; i < cap.size(); ++i) cap[i] = capabilityOf(probs, i);
   return cap;
 }
 
@@ -53,163 +121,48 @@ std::vector<NodeId> selectTopCapability(const trace::RateMatrix& rates, sim::Sim
 
 std::vector<NodeId> selectNcls(const trace::RateMatrix& rates, sim::SimTime window,
                                std::size_t k) {
-  const std::size_t n = rates.nodeCount();
-  k = std::min(k, n);
+  std::vector<double> notCovered;
+  std::vector<char> isChosen;
   std::vector<NodeId> chosen;
-  chosen.reserve(k);
-  // notCovered[j] = P(no chosen NCL meets j within the window).
-  std::vector<double> notCovered(n, 1.0);
-  std::vector<bool> isChosen(n, false);
-
-  // Sparse fast path: with a zero default rate a candidate's gain has
-  // nonzero terms only at stored neighbors (P == 0.0 elsewhere), and the
-  // coverage update multiplies non-neighbors by exactly 1.0 — both loops
-  // shrink to the adjacency row without changing a single bit. A nonzero
-  // default keeps the generic per-pair loop (correct, dense-cost).
-  const bool sparseFast =
-      rates.isSparse() && trace::contactProbability(rates.defaultRate(), window) == 0.0;
-
-  for (std::size_t pick = 0; pick < k; ++pick) {
-    NodeId best = kNoNode;
-    double bestGain = -1.0;
-    for (NodeId cand = 0; cand < n; ++cand) {
-      if (isChosen[cand]) continue;
-      double gain = 0.0;
-      if (sparseFast) {
-        rates.forEachNeighbor(cand, [&](NodeId j, double r) {
-          if (!isChosen[j])
-            gain += notCovered[j] * trace::contactProbability(r, window);
-        });
-      } else {
-        for (NodeId j = 0; j < n; ++j) {
-          if (j == cand || isChosen[j]) continue;
-          gain += notCovered[j] * rates.meetingProbability(cand, j, window);
-        }
-      }
-      if (gain > bestGain) {
-        bestGain = gain;
-        best = cand;
-      }
-    }
-    DTNCACHE_CHECK(best != kNoNode);
-    isChosen[best] = true;
-    chosen.push_back(best);
-    if (sparseFast) {
-      rates.forEachNeighbor(best, [&](NodeId j, double r) {
-        notCovered[j] *= 1.0 - trace::contactProbability(r, window);
-      });
-    } else {
-      for (NodeId j = 0; j < n; ++j) {
-        if (j == best) continue;
-        notCovered[j] *= 1.0 - rates.meetingProbability(best, j, window);
-      }
-    }
-  }
+  greedyNcls(matrixProbs(rates, window), k, notCovered, isChosen, chosen);
   return chosen;
 }
 
-double& CentralityState::prob(NodeId i, NodeId j) {
-  if (i > j) std::swap(i, j);
-  return probs_[static_cast<std::size_t>(i) * (2 * n_ - i - 1) / 2 + (j - i - 1)];
-}
-
-double CentralityState::prob(NodeId i, NodeId j) const {
-  if (i > j) std::swap(i, j);
-  return probs_[static_cast<std::size_t>(i) * (2 * n_ - i - 1) / 2 + (j - i - 1)];
-}
-
-double CentralityState::rowProb(NodeId i, NodeId j) const {
-  const auto& row = rowProbs_[i];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), j,
-      [](const std::pair<NodeId, double>& e, NodeId id) { return e.first < id; });
-  return (it != row.end() && it->first == j) ? it->second : defaultP_;
-}
-
-void CentralityState::rebuildRow(NodeId i, const trace::RateMatrix& rates,
-                                 sim::SimTime window) {
-  auto& row = rowProbs_[i];
-  row.clear();
+void CentralityState::rebuildRow(NodeId i, const trace::RateMatrix& rates) {
+  // Reset first: a pair the matrix no longer stores reads as the default.
+  index_.forEachNeighbor(i, [&](NodeId, std::uint32_t slot) { probs_[slot] = defaultP_; });
   rates.forEachNeighbor(i, [&](NodeId j, double r) {
-    row.emplace_back(j, trace::contactProbability(r, window));
+    const std::uint32_t slot = index_.insert(i, j);
+    if (slot == probs_.size()) probs_.push_back(defaultP_);
+    probs_[slot] = trace::contactProbability(r, window_);
   });
-}
-
-double CentralityState::rowCapability(NodeId i) const {
-  const auto& row = rowProbs_[i];
-  double sum = 0.0;
-  if (neighborCap_ > 0 && row.size() > neighborCap_) {
-    // Truncated sum: the cap highest probabilities, added in descending
-    // order (deterministic — equal values commute bit-exactly).
-    capScratch_.clear();
-    for (const auto& e : row) capScratch_.push_back(e.second);
-    std::nth_element(capScratch_.begin(), capScratch_.begin() + neighborCap_,
-                     capScratch_.end(), std::greater<double>());
-    std::sort(capScratch_.begin(), capScratch_.begin() + neighborCap_,
-              std::greater<double>());
-    for (std::size_t t = 0; t < neighborCap_; ++t) sum += capScratch_[t];
-  } else {
-    for (const auto& e : row) sum += e.second;
-  }
-  if (defaultP_ > 0.0)
-    sum += defaultP_ * static_cast<double>(n_ - 1 - row.size());
-  return n_ > 1 ? sum / static_cast<double>(n_ - 1) : 0.0;
 }
 
 void CentralityState::refresh(const trace::RateMatrix& rates, sim::SimTime window,
                               const std::vector<NodeId>& changedNodes) {
   DTNCACHE_CHECK(window > 0.0);
   const std::size_t n = rates.nodeCount();
-  const double defaultP =
-      rates.isSparse() ? trace::contactProbability(rates.defaultRate(), window) : 0.0;
-  const bool reprime = !primed_ || n_ != n || window_ != window ||
-                       sparse_ != rates.isSparse() || defaultP_ != defaultP;
+  const double defaultP = trace::contactProbability(rates.defaultRate(), window);
+  bool reprime = !primed_ || window_ != window || defaultP_ != defaultP;
+  if (index_.nodeCount() != n || index_.layout() != rates.layout()) {
+    index_ = trace::PairIndex(n, rates.layout());
+    probs_.assign(index_.slotCount(), 0.0);
+    reprime = true;
+  }
+  const CachedProbs cached{index_, probs_, defaultP};
   if (reprime) {
-    n_ = n;
     window_ = window;
-    sparse_ = rates.isSparse();
     defaultP_ = defaultP;
     capability_.assign(n, 0.0);
-    if (sparse_) {
-      probs_.clear();
-      probs_.shrink_to_fit();
-      rowProbs_.resize(n);
-      for (NodeId i = 0; i < n; ++i) rebuildRow(i, rates, window);
-      for (NodeId i = 0; i < n; ++i) capability_[i] = rowCapability(i);
-      return;
-    }
-    rowProbs_.clear();
-    rowProbs_.shrink_to_fit();
-    probs_.assign(n >= 2 ? n * (n - 1) / 2 : 0, 0.0);
-    for (NodeId i = 0; i < n; ++i)
-      for (NodeId j = i + 1; j < n; ++j)
-        prob(i, j) = rates.meetingProbability(i, j, window);
-    for (NodeId i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (NodeId j = 0; j < n; ++j)
-        if (j != i) sum += prob(i, j);
-      capability_[i] = n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
-    }
+    for (NodeId i = 0; i < n; ++i) rebuildRow(i, rates);
+    for (NodeId i = 0; i < n; ++i) capability_[i] = capabilityOf(cached, i);
     return;
   }
-  if (changedNodes.empty()) return;
-  // A changed pair reports both endpoints, so refreshing every (i, *) row
-  // for i in changedNodes rewrites every stale probability (shared pairs
-  // twice, to the same value) and every stale capability.
-  if (sparse_) {
-    for (const NodeId i : changedNodes) rebuildRow(i, rates, window);
-    for (const NodeId i : changedNodes) capability_[i] = rowCapability(i);
-    return;
-  }
-  for (const NodeId i : changedNodes)
-    for (NodeId j = 0; j < n; ++j)
-      if (j != i) prob(i, j) = rates.meetingProbability(i, j, window);
-  for (const NodeId i : changedNodes) {
-    double sum = 0.0;
-    for (NodeId j = 0; j < n; ++j)
-      if (j != i) sum += prob(i, j);
-    capability_[i] = n > 1 ? sum / static_cast<double>(n - 1) : 0.0;
-  }
+  // A changed pair reports both endpoints, so rebuilding every changed row
+  // rewrites every stale probability (shared pairs twice, to the same
+  // value) and every stale capability.
+  for (const NodeId i : changedNodes) rebuildRow(i, rates);
+  for (const NodeId i : changedNodes) capability_[i] = capabilityOf(cached, i);
 }
 
 const std::vector<double>& contactCapability(CentralityState& state,
@@ -224,70 +177,19 @@ const std::vector<double>& contactCapability(CentralityState& state,
 bool selectNcls(CentralityState& state, const trace::RateMatrix& rates,
                 sim::SimTime window, std::size_t k,
                 const std::vector<NodeId>& changedNodes) {
-  const std::size_t n = rates.nodeCount();
-  const bool sameShape =
-      state.primed_ && state.n_ == n && state.window_ == window && state.k_ == k;
+  const bool sameShape = state.primed_ && state.index_.nodeCount() == rates.nodeCount() &&
+                         state.window_ == window && state.k_ == k;
   if (sameShape && changedNodes.empty()) return false;  // short-circuit
 
   state.refresh(rates, window, changedNodes);
   state.k_ = k;
-  k = std::min(k, n);
+  // The batch greedy pass over the cached probabilities (same doubles, same
+  // iteration order => identical picks and tie-breaks).
+  greedyNcls(CachedProbs{state.index_, state.probs_, state.defaultP_}, k, state.notCovered_,
+             state.isChosen_, state.scratchNcls_);
 
-  // The batch greedy pass, verbatim, over the cached probabilities (same
-  // doubles, same iteration order => identical picks and tie-breaks). The
-  // sparse row cache with a zero default shrinks both inner loops to the
-  // adjacency rows without changing a bit — see the batch selectNcls note.
-  const bool sparseFast = state.sparse_ && state.defaultP_ == 0.0;
-  auto& chosen = state.scratchNcls_;
-  chosen.clear();
-  state.notCovered_.assign(n, 1.0);
-  state.isChosen_.assign(n, 0);
-  for (std::size_t pick = 0; pick < k; ++pick) {
-    NodeId best = kNoNode;
-    double bestGain = -1.0;
-    for (NodeId cand = 0; cand < n; ++cand) {
-      if (state.isChosen_[cand]) continue;
-      double gain = 0.0;
-      if (sparseFast) {
-        for (const auto& e : state.rowProbs_[cand])
-          if (!state.isChosen_[e.first]) gain += state.notCovered_[e.first] * e.second;
-      } else if (state.sparse_) {
-        for (NodeId j = 0; j < n; ++j) {
-          if (j == cand || state.isChosen_[j]) continue;
-          gain += state.notCovered_[j] * state.rowProb(cand, j);
-        }
-      } else {
-        for (NodeId j = 0; j < n; ++j) {
-          if (j == cand || state.isChosen_[j]) continue;
-          gain += state.notCovered_[j] * state.prob(cand, j);
-        }
-      }
-      if (gain > bestGain) {
-        bestGain = gain;
-        best = cand;
-      }
-    }
-    DTNCACHE_CHECK(best != kNoNode);
-    state.isChosen_[best] = 1;
-    chosen.push_back(best);
-    if (sparseFast) {
-      for (const auto& e : state.rowProbs_[best])
-        state.notCovered_[e.first] *= 1.0 - e.second;
-    } else if (state.sparse_) {
-      for (NodeId j = 0; j < n; ++j) {
-        if (j == best) continue;
-        state.notCovered_[j] *= 1.0 - state.rowProb(best, j);
-      }
-    } else {
-      for (NodeId j = 0; j < n; ++j) {
-        if (j == best) continue;
-        state.notCovered_[j] *= 1.0 - state.prob(best, j);
-      }
-    }
-  }
-
-  const bool changed = !state.primed_ || chosen != state.ncls_;
-  state.ncls_.swap(chosen);
+  const bool changed = !state.primed_ || state.scratchNcls_ != state.ncls_;
+  state.ncls_.swap(state.scratchNcls_);
   state.primed_ = true;
   return changed;
 }

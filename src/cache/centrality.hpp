@@ -12,19 +12,16 @@
 /// two NCLs that mostly meet the *same* nodes wastes a slot, so after the
 /// first pick each candidate's marginal coverage is what counts.
 ///
-/// Sparse rate matrices (trace/pair_backend.hpp) get a sparse evaluation
-/// path throughout: capability sums and greedy coverage updates iterate a
-/// node's stored neighbors only, so centrality costs O(E + nk) instead of
-/// O(n²k). With a zero default (never-met) rate this is bit-identical to
-/// the dense evaluation — a never-met pair contributes exactly
-/// 1 − e⁰ = 0.0 to every sum and multiplies coverage by exactly 1.0, so
-/// skipping it cannot change any accumulation, comparison, or tie-break.
-/// A nonzero default rate keeps the sparse path correct (closed-form
-/// default contribution for capability, per-pair lookup for the greedy
-/// pass) but no longer byte-identical in association order.
+/// Every sum and greedy update walks a node's pairs one of two ways. With a
+/// zero default (never-met) rate the walk visits the matrix's stored
+/// neighbors only (trace/pair_index.hpp), so on a sparse matrix centrality
+/// costs O(E + nk) instead of O(n²k). That is bit-identical to visiting
+/// every node — a never-met pair contributes exactly 1 − e⁰ = 0.0 to every
+/// sum and multiplies coverage by exactly 1.0, so skipping it cannot change
+/// any accumulation, comparison, or tie-break. With a nonzero default rate
+/// the walk looks up every j instead, in the same ascending order.
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -47,15 +44,16 @@ std::vector<NodeId> selectNcls(const trace::RateMatrix& rates, sim::SimTime wind
                                std::size_t k);
 
 /// Incrementally-maintained centrality inputs: the meeting-probability
-/// cache (dense triangle, or per-node sparse rows mirroring a sparse rate
-/// matrix), per-node capability, and the last NCL set. The incremental
-/// contactCapability/selectNcls overloads update it from a list of changed
-/// nodes (every node with at least one changed rate-matrix row entry —
-/// ContactRateEstimator::snapshotInto emits exactly that), so a maintenance
-/// tick re-derives only what its dirty rows can affect and short-circuits
-/// entirely when nothing changed. Results are bit-identical to the batch
-/// functions: probabilities are cached from the same meetingProbability
-/// calls and every sum runs in the same j-order.
+/// cache (a PairIndex mirroring the rate matrix's stored pairs, in the
+/// matrix's layout, plus one probability per slot), per-node capability,
+/// and the last NCL set. The incremental contactCapability/selectNcls
+/// overloads update it from a list of changed nodes (every node with at
+/// least one changed rate-matrix row entry — ContactRateEstimator::
+/// snapshotInto emits exactly that), so a maintenance tick re-derives only
+/// what its dirty rows can affect and short-circuits entirely when nothing
+/// changed. Results are bit-identical to the batch functions: probabilities
+/// are cached from the same contactProbability evaluations and every sum
+/// runs in the same j-order.
 class CentralityState {
  public:
   bool primed() const { return primed_; }
@@ -63,22 +61,6 @@ class CentralityState {
   const std::vector<NodeId>& ncls() const { return ncls_; }
   /// Force a full re-derivation on the next incremental call.
   void invalidate() { primed_ = false; }
-
-  /// Approximation knob for very large sparse networks: when nonzero, a
-  /// node's capability sums only its `cap` highest meeting probabilities
-  /// (descending order, deterministic) instead of its whole neighbor row.
-  /// Hub rows in power-law contact graphs hold most of the row mass in the
-  /// head, so a few hundred terms recover the ranking at a fraction of the
-  /// cost. Applies to the sparse row cache only (the dense triangle has no
-  /// long rows to truncate) and never to the greedy coverage pass, which
-  /// stays exact. 0 (default) = exact sums. Changing the cap invalidates.
-  void setNeighborCap(std::size_t cap) {
-    if (cap != neighborCap_) {
-      neighborCap_ = cap;
-      primed_ = false;
-    }
-  }
-  std::size_t neighborCap() const { return neighborCap_; }
 
  private:
   friend const std::vector<double>& contactCapability(
@@ -88,37 +70,28 @@ class CentralityState {
                          sim::SimTime window, std::size_t k,
                          const std::vector<NodeId>& changedNodes);
 
-  double& prob(NodeId i, NodeId j);
-  double prob(NodeId i, NodeId j) const;
-  /// Sparse row lookup: cached P(i meets j in T), defaultP_ if not stored.
-  double rowProb(NodeId i, NodeId j) const;
-  void rebuildRow(NodeId i, const trace::RateMatrix& rates, sim::SimTime window);
-  double rowCapability(NodeId i) const;
+  /// Re-derive the cached probabilities of node i's pairs from `rates`.
+  void rebuildRow(NodeId i, const trace::RateMatrix& rates);
   void refresh(const trace::RateMatrix& rates, sim::SimTime window,
                const std::vector<NodeId>& changedNodes);
 
-  std::size_t n_ = 0;
   sim::SimTime window_ = 0.0;
   std::size_t k_ = 0;
   bool primed_ = false;
-  bool sparse_ = false;      ///< mirrors the source matrix's backend
-  double defaultP_ = 0.0;    ///< sparse: P for never-stored pairs
-  std::size_t neighborCap_ = 0;
-  std::vector<double> probs_;  ///< dense: upper-triangular P(i meets j in T)
-  /// Sparse: per node, ascending (j, P(i meets j in T)) for stored pairs.
-  std::vector<std::vector<std::pair<NodeId, double>>> rowProbs_;
+  double defaultP_ = 0.0;   ///< P for pairs the matrix does not store
+  trace::PairIndex index_;  ///< mirrors the source matrix's stored pairs
+  std::vector<double> probs_;  ///< slot -> P(i meets j in T)
   std::vector<double> capability_;  ///< C_i(T), kept current per refresh
   std::vector<NodeId> ncls_;        ///< NCL set from the last selectNcls
   std::vector<double> notCovered_;  ///< greedy scratch
   std::vector<char> isChosen_;      ///< greedy scratch
   std::vector<NodeId> scratchNcls_;
-  mutable std::vector<double> capScratch_;  ///< top-cap truncation scratch
 };
 
 /// Incremental C_i(T): refresh the cached probabilities/capabilities for
 /// `changedNodes` only (full derivation when unprimed or the matrix size /
-/// backend / window differ) and return the capability vector. Bit-identical
-/// to the batch overload when the neighbor cap is 0.
+/// layout / default rate / window differ) and return the capability
+/// vector. Bit-identical to the batch overload.
 const std::vector<double>& contactCapability(CentralityState& state,
                                              const trace::RateMatrix& rates,
                                              sim::SimTime window,

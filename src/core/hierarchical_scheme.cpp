@@ -341,7 +341,6 @@ void HierarchicalRefreshScheme::onStart(cache::CooperativeCache& cache) {
   haveMaintState_.assign(items, 0);
   rowVersion_.assign(cache.nodeCount(), 0);
   rateVersion_ = 0;
-  centrality_.setNeighborCap(config_.centralityNeighborCap);
   centrality_.invalidate();
 
   // Dependency rows per item: the caching set plus the source. Fixed for

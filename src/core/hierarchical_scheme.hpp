@@ -50,13 +50,6 @@ struct HierarchicalConfig {
   /// Plan from the true rate matrix instead of the estimator (F9 oracle arm).
   bool useOracleRates = false;
 
-  /// Large-N approximation knob, forwarded to
-  /// cache::CentralityState::setNeighborCap: when nonzero, capability sums
-  /// over a sparse rate snapshot truncate to each node's `cap` highest
-  /// meeting probabilities. 0 (default) = exact sums (and byte-identical
-  /// outputs across pair-state backends).
-  std::size_t centralityNeighborCap = 0;
-
   /// Relay-assisted delivery: a responsible node that meets a better
   /// carrier toward its (absent) target hands it a bounded number of
   /// refresh copies, which travel store-carry-forward like any DTN message.

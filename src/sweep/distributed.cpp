@@ -28,21 +28,9 @@ Fragment runWorkUnitFragment(const SweepManifest& manifest, std::uint64_t sweepF
   } else {
     job.config.tracer = nullptr;
   }
-  // Exactly the events SweepEngine::runJobs emits around a job, so a
-  // fragment's trace slice is byte-equal to the single-process trace.
-  DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobStart, 0.0,
-                 {"job", job.index},
-                 {"scheme", runner::schemeName(job.config.scheme)},
-                 {"seed", job.config.seed});
-  const auto start = std::chrono::steady_clock::now();
-  auto output = runner::runExperiment(job.config);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobDone,
-                 output.traceStats.duration, {"job", job.index});
+  const JobResult result = runJob(std::move(job));
   if (tracer != nullptr) tracer->flushTo(traceOut);
 
-  JobResult result{std::move(job), std::move(output), wall};
   const auto fields = recordFields(result, manifest.wallClock);
   Fragment fragment;
   fragment.jobIndex = static_cast<std::uint64_t>(result.job.index);

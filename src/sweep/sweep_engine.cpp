@@ -117,6 +117,19 @@ std::vector<SweepJob> expandGrid(const SweepGrid& grid) {
   }
 }
 
+JobResult runJob(SweepJob job) {
+  DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobStart, 0.0,
+                 {"job", job.index},
+                 {"scheme", runner::schemeName(job.config.scheme)},
+                 {"seed", job.config.seed});
+  const auto start = Clock::now();
+  auto output = runner::runExperiment(job.config);
+  const double wall = secondsSince(start);
+  DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobDone,
+                 output.traceStats.duration, {"job", job.index});
+  return JobResult{std::move(job), std::move(output), wall};
+}
+
 std::vector<JobResult> SweepEngine::run(const SweepGrid& grid,
                                         const std::vector<ResultSink*>& sinks) {
   return runJobs(expandGrid(grid), sinks);
@@ -148,30 +161,21 @@ std::vector<JobResult> SweepEngine::runJobs(std::vector<SweepJob> jobs,
     std::atomic<std::size_t> completed{0};
     const auto start = Clock::now();
     ThreadPool pool(workers);
-    std::vector<std::future<std::pair<runner::ExperimentOutput, double>>> futures;
+    std::vector<std::future<JobResult>> futures;
     futures.reserve(jobs.size());
-    for (const SweepJob& job : jobs) {  // stable storage: jobs is not resized below
-      futures.push_back(pool.submit([&job, &completed] {
-        DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobStart, 0.0,
-                       {"job", job.index},
-                       {"scheme", runner::schemeName(job.config.scheme)},
-                       {"seed", job.config.seed});
-        const auto jobStart = Clock::now();
-        auto output = runner::runExperiment(job.config);
-        const double wall = secondsSince(jobStart);
-        DTNCACHE_EVENT(job.config.tracer, obs::EventKind::kJobDone,
-                       output.traceStats.duration, {"job", job.index});
+    for (SweepJob& job : jobs) {
+      futures.push_back(pool.submit([job = std::move(job), &completed]() mutable {
+        JobResult result = runJob(std::move(job));
         completed.fetch_add(1, std::memory_order_relaxed);
-        return std::pair{std::move(output), wall};
+        return result;
       }));
     }
 
     // Aggregation: strictly job-index order, whatever order workers finish
     // in — this is what makes the output independent of the jobs count.
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      auto [output, wall] = futures[i].get();
+      JobResult result = futures[i].get();
       if (options_.traceOut != nullptr) tracers[i]->flushTo(*options_.traceOut);
-      JobResult result{std::move(jobs[i]), std::move(output), wall};
       for (ResultSink* sink : sinks) sink->write(result);
       results.push_back(std::move(result));
       if (options_.progress)

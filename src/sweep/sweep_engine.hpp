@@ -78,6 +78,12 @@ struct JobResult {
   double wallSeconds = 0.0;  ///< this job only, on its worker thread
 };
 
+/// Run one job the way every sweep path does: a job_start event, a timed
+/// runExperiment, a job_done event, all on `job.config.tracer` when set.
+/// SweepEngine and the spool worker both call this, so a fragment's trace
+/// slice is byte-equal to the single-process trace.
+JobResult runJob(SweepJob job);
+
 /// Receives results strictly in job-index order (see determinism contract).
 class ResultSink {
  public:

@@ -13,60 +13,29 @@ ContactRateEstimator::ContactRateEstimator(std::size_t nodeCount, EstimatorConfi
     : nodeCount_(nodeCount),
       config_(config),
       startTime_(startTime),
-      sparse_(useSparsePairs(nodeCount, config.backend)) {
+      index_(nodeCount, config.backend) {
   DTNCACHE_CHECK(config.window > 0.0);
   DTNCACHE_CHECK(config.ewmaAlpha > 0.0 && config.ewmaAlpha <= 1.0);
   DTNCACHE_CHECK(config.priorRate >= 0.0);
-  if (sparse_) {
-    nodeNbrs_.resize(nodeCount);
-  } else {
-    pairs_.resize(triangleCount());
-    if (config.mode == EstimatorMode::kSlidingWindow) recent_.resize(pairs_.size());
-    dirtyBits_ = core::DenseBitset(pairs_.size());
-    varyingBits_ = core::DenseBitset(pairs_.size());
-  }
+  pairs_.resize(index_.slotCount());
+  if (config.mode == EstimatorMode::kSlidingWindow) recent_.resize(pairs_.size());
+  dirtyBits_ = core::DenseBitset(pairs_.size());
+  varyingBits_ = core::DenseBitset(pairs_.size());
   changedRowBits_ = core::DenseBitset(nodeCount);
 }
 
-std::size_t ContactRateEstimator::pairIndex(NodeId i, NodeId j) const {
-  DTNCACHE_CHECK(i != j && i < nodeCount_ && j < nodeCount_);
-  if (i > j) std::swap(i, j);
-  return static_cast<std::size_t>(i) * (2 * nodeCount_ - i - 1) / 2 + (j - i - 1);
-}
-
-std::uint32_t ContactRateEstimator::findPair(NodeId i, NodeId j) const {
-  if (!sparse_) return static_cast<std::uint32_t>(pairIndex(i, j));
-  DTNCACHE_CHECK(i != j && i < nodeCount_ && j < nodeCount_);
-  return pairSlots_.find(core::packSymmetricPair(i, j));
-}
-
-std::uint32_t ContactRateEstimator::findOrCreatePair(NodeId a, NodeId b) {
-  if (!sparse_) return static_cast<std::uint32_t>(pairIndex(a, b));
-  DTNCACHE_CHECK(a != b && a < nodeCount_ && b < nodeCount_);
-  const std::uint64_t key = core::packSymmetricPair(a, b);
-  std::uint32_t idx = pairSlots_.find(key);
-  if (idx == core::SlotIndex::kNoSlot) {
-    idx = static_cast<std::uint32_t>(pairs_.size());
+std::uint32_t ContactRateEstimator::insertPair(NodeId a, NodeId b) {
+  const std::uint32_t idx = index_.insert(a, b);
+  if (idx == pairs_.size()) {
     pairs_.emplace_back();
     if (config_.mode == EstimatorMode::kSlidingWindow) recent_.emplace_back();
-    pairSlots_.insert(key, idx);
-    const auto insertNbr = [&](NodeId u, NodeId v) {
-      auto& row = nodeNbrs_[u];
-      const auto pos = std::lower_bound(
-          row.begin(), row.end(), v,
-          [](const NodeNbr& nb, NodeId id) { return nb.id < id; });
-      row.insert(pos, NodeNbr{v, idx});
-    };
-    insertNbr(a, b);
-    insertNbr(b, a);
   }
   return idx;
 }
 
-std::uint32_t ContactRateEstimator::indexOfKey(std::uint64_t key) const {
-  if (!sparse_) return static_cast<std::uint32_t>(pairIndex(core::pairHigh(key), core::pairLow(key)));
-  const std::uint32_t idx = pairSlots_.find(key);
-  DTNCACHE_CHECK(idx != core::SlotIndex::kNoSlot);
+std::uint32_t ContactRateEstimator::slotOfKey(std::uint64_t key) const {
+  const std::uint32_t idx = index_.find(core::pairHigh(key), core::pairLow(key));
+  DTNCACHE_CHECK(idx != PairIndex::kNoSlot);
   return idx;
 }
 
@@ -76,14 +45,14 @@ void ContactRateEstimator::recordContact(NodeId a, NodeId b, sim::SimTime t) {
     // Workers never create state: the pair was pre-created by
     // enterShardMode. Dirty marking goes to this context's sink, tagged
     // with the recording event's key for the drain-time merge.
-    idx = findPair(a, b);
-    DTNCACHE_CHECK(idx != kNoPair);
+    idx = index_.find(a, b);
+    DTNCACHE_CHECK(idx != PairIndex::kNoSlot);
     ShardSink& sink = shardSinks_[sim::tlsShard.ctx];
     if (sink.bits.set(idx))
       sink.entries.push_back(ShardSink::Entry{sim::tlsShard.evTime, sim::tlsShard.evSeq,
                                               idx, core::packSymmetricPair(a, b)});
   } else {
-    idx = findOrCreatePair(a, b);
+    idx = insertPair(a, b);
     if (dirtyBits_.set(idx)) dirtyKeys_.push_back(core::packSymmetricPair(a, b));
   }
   PairState& s = pairs_[idx];
@@ -112,7 +81,7 @@ void ContactRateEstimator::recordContact(NodeId a, NodeId b, sim::SimTime t) {
 }
 
 double ContactRateEstimator::rateOf(std::uint32_t idx, sim::SimTime now) const {
-  if (idx == kNoPair) return config_.priorRate;
+  if (idx == PairIndex::kNoSlot) return config_.priorRate;
   const PairState* s = &pairs_[idx];
   if (s->totalCount == 0) return config_.priorRate;
 
@@ -152,7 +121,7 @@ double ContactRateEstimator::rateOf(std::uint32_t idx, sim::SimTime now) const {
 
 double ContactRateEstimator::rate(NodeId i, NodeId j, sim::SimTime now) const {
   if (i == j) return 0.0;
-  return rateOf(findPair(i, j), now);
+  return rateOf(index_.find(i, j), now);
 }
 
 double ContactRateEstimator::meetingProbability(NodeId i, NodeId j, sim::SimTime window,
@@ -160,40 +129,9 @@ double ContactRateEstimator::meetingProbability(NodeId i, NodeId j, sim::SimTime
   return contactProbability(rate(i, j, now), window);
 }
 
-double ContactRateEstimator::nodeRateSum(NodeId i, sim::SimTime now) const {
-  if (!sparse_) {
-    double sum = 0.0;
-    for (NodeId j = 0; j < nodeCount_; ++j)
-      if (j != i) sum += rate(i, j, now);
-    return sum;
-  }
-  DTNCACHE_CHECK(i < nodeCount_);
-  // Observed peers in ascending order (matching the dense iteration on the
-  // pairs that exist), then the closed-form prior for the never-met rest.
-  // Note a *seen* pair can still evaluate to priorRate (e.g. an expired
-  // sliding window) — that term is summed explicitly, same as dense.
-  // Pre-created zero-count pairs (shard mode) count as never-met: folding
-  // them into the closed-form term keeps the summation order — and thus the
-  // FP result — identical to a lazily-built table.
-  double sum = 0.0;
-  std::size_t unseen = 0;
-  for (const NodeNbr& nb : nodeNbrs_[i]) {
-    if (pairs_[nb.idx].totalCount == 0) {
-      ++unseen;
-      continue;
-    }
-    sum += rateOf(nb.idx, now);
-  }
-  if (config_.priorRate > 0.0 && nodeCount_ >= 1)
-    sum += config_.priorRate *
-           static_cast<double>(nodeCount_ - 1 - (nodeNbrs_[i].size() - unseen));
-  return sum;
-}
-
 std::size_t ContactRateEstimator::observedPairCount() const {
-  // Both backends: pairs with at least one recorded contact. The sparse
-  // table can hold zero-count state (shard-mode pre-creation), which does
-  // not count as observed.
+  // Pairs with at least one recorded contact: the dense triangle and
+  // shard-mode pre-creation both hold zero-count state.
   std::size_t n = 0;
   for (const PairState& s : pairs_)
     if (s.totalCount > 0) ++n;
@@ -201,20 +139,14 @@ std::size_t ContactRateEstimator::observedPairCount() const {
 }
 
 RateMatrix ContactRateEstimator::snapshot(sim::SimTime now) const {
-  RateMatrix m(nodeCount_, sparse_ ? PairBackend::kSparse : PairBackend::kDense,
-               sparse_ ? config_.priorRate : 0.0);
-  if (!sparse_) {
-    for (NodeId i = 0; i < nodeCount_; ++i)
-      for (NodeId j = i + 1; j < nodeCount_; ++j) m.setRate(i, j, rate(i, j, now));
-    return m;
-  }
   // Observed pairs only, in canonical (i, ascending j) order; never-met
-  // pairs — including zero-count pre-created state — read as the matrix's
-  // default rate (== priorRate).
+  // pairs — including zero-count state — read as the matrix's default rate
+  // (== priorRate), which is exactly what rate() returns for them.
+  RateMatrix m(nodeCount_, index_.layout(), config_.priorRate);
   for (NodeId i = 0; i < nodeCount_; ++i)
-    for (const NodeNbr& nb : nodeNbrs_[i])
-      if (nb.id > i && pairs_[nb.idx].totalCount > 0)
-        m.setRate(i, nb.id, rateOf(nb.idx, now));
+    index_.forEachNeighbor(i, [&](NodeId j, std::uint32_t idx) {
+      if (j > i && pairs_[idx].totalCount > 0) m.setRate(i, j, rateOf(idx, now));
+    });
   return m;
 }
 
@@ -278,18 +210,17 @@ void ContactRateEstimator::evaluateBatch(sim::SimTime now) {
 SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime now,
                                                  std::vector<NodeId>* changedNodes,
                                                  bool force) {
-  if (out.nodeCount() != nodeCount_ || out.isSparse() != sparse_ ||
-      (sparse_ && out.defaultRate() != config_.priorRate)) {
-    out = RateMatrix(nodeCount_, sparse_ ? PairBackend::kSparse : PairBackend::kDense,
-                     sparse_ ? config_.priorRate : 0.0);
+  if (out.nodeCount() != nodeCount_ || out.layout() != index_.layout() ||
+      out.defaultRate() != config_.priorRate) {
+    out = RateMatrix(nodeCount_, index_.layout(), config_.priorRate);
     snapshotPrimed_ = false;
   }
   SnapshotStats stats;
   if (!snapshotPrimed_) {
-    // The whole triangle, computed arithmetically: both backends report the
-    // same count even though the sparse pass only touches observed pairs
-    // (never-met entries are trivially "re-evaluated" to the prior).
-    stats.dirtyPairs = triangleCount();
+    // The whole triangle, computed arithmetically: the full pass touches
+    // observed pairs only (never-met entries are trivially "re-evaluated"
+    // to the prior the matrix already reads).
+    stats.dirtyPairs = PairIndex::triangleSize(nodeCount_);
   } else if (force) {
     // A forced full rewrite still reports the LOGICAL dirty count — what the
     // incremental pass would have re-evaluated — so the full-recompute
@@ -297,12 +228,11 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
     // IncrementalMaintenance equivalence tests diff this).
     stats.dirtyPairs = dirtyKeys_.size();
     for (const std::uint64_t key : varyingKeys_)
-      if (!dirtyBits_.test(indexOfKey(key))) ++stats.dirtyPairs;
+      if (!dirtyBits_.test(slotOfKey(key))) ++stats.dirtyPairs;
   }
 
   changedRowBits_.clear();
-  const auto updatePair = [&](NodeId i, NodeId j) {
-    const double v = rate(i, j, now);
+  const auto updatePair = [&](NodeId i, NodeId j, double v) {
     if (v != out.rate(i, j)) {
       out.setRate(i, j, v);
       ++stats.changedPairs;
@@ -315,22 +245,15 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
     // Full rewrite, in the canonical row-major order. Entries outside the
     // dirty/varying lists compare equal to their stored value, so stats and
     // changedNodes match what the incremental pass would have produced.
-    // Sparse: only observed pairs can differ from the default the matrix
-    // already reads for the rest, so the walk covers adjacency rows only.
-    if (!sparse_) {
-      for (NodeId i = 0; i < nodeCount_; ++i)
-        for (NodeId j = i + 1; j < nodeCount_; ++j) updatePair(i, j);
-    } else {
-      // Zero-count pre-created pairs evaluate to the prior the matrix
-      // already reads by default; skipping them avoids the probe without
-      // changing values, stats, or changedNodes.
-      for (NodeId i = 0; i < nodeCount_; ++i)
-        for (const NodeNbr& nb : nodeNbrs_[i])
-          if (nb.id > i && pairs_[nb.idx].totalCount > 0) updatePair(i, nb.id);
-    }
+    // Zero-count pairs evaluate to the prior the matrix already reads by
+    // default, so skipping them changes no value, stat, or changedNodes.
+    for (NodeId i = 0; i < nodeCount_; ++i)
+      index_.forEachNeighbor(i, [&](NodeId j, std::uint32_t idx) {
+        if (j > i && pairs_[idx].totalCount > 0) updatePair(i, j, rateOf(idx, now));
+      });
   } else {
-    // Data-oriented incremental pass. Gather (key, storage index) for the
-    // dirty list then the non-dirty time-varying list — the same pair order
+    // Data-oriented incremental pass. Gather (key, slot) for the dirty
+    // list then the non-dirty time-varying list — the same pair order
     // the scalar loop used — lift the state fields into contiguous columns,
     // evaluate the mode arithmetic over them, and compare-and-scatter the
     // results. The per-pair work in the middle loop is pure double math the
@@ -340,10 +263,10 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
     batchIdx_.clear();
     for (const std::uint64_t key : dirtyKeys_) {
       batchKeys_.push_back(key);
-      batchIdx_.push_back(indexOfKey(key));
+      batchIdx_.push_back(slotOfKey(key));
     }
     for (const std::uint64_t key : varyingKeys_) {
-      const std::uint32_t idx = indexOfKey(key);
+      const std::uint32_t idx = slotOfKey(key);
       if (!dirtyBits_.test(idx)) {
         batchKeys_.push_back(key);
         batchIdx_.push_back(idx);
@@ -351,17 +274,8 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
     }
     stats.dirtyPairs = batchKeys_.size();
     evaluateBatch(now);
-    for (std::size_t k = 0; k < batchKeys_.size(); ++k) {
-      const NodeId i = core::pairHigh(batchKeys_[k]);
-      const NodeId j = core::pairLow(batchKeys_[k]);
-      const double v = batchVal_[k];
-      if (v != out.rate(i, j)) {
-        out.setRate(i, j, v);
-        ++stats.changedPairs;
-        changedRowBits_.set(i);
-        changedRowBits_.set(j);
-      }
-    }
+    for (std::size_t k = 0; k < batchKeys_.size(); ++k)
+      updatePair(core::pairHigh(batchKeys_[k]), core::pairLow(batchKeys_[k]), batchVal_[k]);
   }
 
   // Advance the bookkeeping: compact the time-varying list in place, then
@@ -369,7 +283,7 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
   // existing vectors — steady-state snapshots allocate nothing.
   std::size_t kept = 0;
   for (const std::uint64_t key : varyingKeys_) {
-    const std::uint32_t idx = indexOfKey(key);
+    const std::uint32_t idx = slotOfKey(key);
     if (rateStable(pairs_[idx], now))
       varyingBits_.reset(idx);
     else
@@ -377,7 +291,7 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
   }
   varyingKeys_.resize(kept);
   for (const std::uint64_t key : dirtyKeys_) {
-    const std::uint32_t idx = indexOfKey(key);
+    const std::uint32_t idx = slotOfKey(key);
     dirtyBits_.reset(idx);
     if (!rateStable(pairs_[idx], now) && varyingBits_.set(idx))
       varyingKeys_.push_back(key);
@@ -399,13 +313,11 @@ void ContactRateEstimator::enterShardMode(std::size_t contexts,
                                           std::size_t first, std::size_t end) {
   DTNCACHE_CHECK(!shardMode_);
   DTNCACHE_CHECK(contexts >= 1 && first <= end && end <= contacts.size());
-  // Pre-create every pair the run can touch, in trace order — the same
+  // Insert every pair the run can touch, in trace order — the same
   // first-sight order lazy creation would use, so the adjacency rows and
   // slot layout match a plain run on the delivered subset (zero-count
   // extras are skipped by every read path).
-  if (sparse_)
-    for (std::size_t c = first; c < end; ++c)
-      findOrCreatePair(contacts[c].a, contacts[c].b);
+  for (std::size_t c = first; c < end; ++c) insertPair(contacts[c].a, contacts[c].b);
   shardSinks_.resize(contexts);
   for (ShardSink& sink : shardSinks_) {
     sink.bits = core::DenseBitset(pairs_.size());

@@ -18,25 +18,19 @@
 ///  - kEwma: exponentially weighted mean of inter-contact intervals,
 ///    rate = 1 / ewma. Reacts fastest, noisiest.
 ///
-/// Pair state is stored dense (triangular array) at paper scale and sparse
-/// (observed pairs only, SlotIndex-keyed) at large N — see
-/// trace/pair_backend.hpp for the selection rule and the cross-backend
-/// equivalence contract. Both backends return identical estimates; with
-/// priorRate == 0 (the entire sweep surface) snapshots, stats, and changed-
-/// node lists are bit-identical too. The one documented deviation: with a
-/// nonzero priorRate the dense backend's *first* snapshot materializes the
-/// prior into every never-met cell (counting them as changed), while the
-/// sparse backend leaves them implicit as the matrix's default rate — same
-/// values on read, different changed-pair accounting on that first call.
+/// Pair state is a PairIndex (trace/pair_index.hpp: dense triangle at paper
+/// scale, observed pairs only at large N) plus one PairState per slot.
+/// Estimates, snapshots, stats and changed-node lists are identical in
+/// both layouts: snapshots default never-met pairs to priorRate and write
+/// observed pairs only.
 
 #include <cstdint>
 #include <vector>
 
 #include "core/dense_bitset.hpp"
-#include "core/slot_index.hpp"
 #include "sim/time.hpp"
 #include "trace/contact.hpp"
-#include "trace/pair_backend.hpp"
+#include "trace/pair_index.hpp"
 #include "trace/rate_matrix.hpp"
 
 namespace dtncache::trace {
@@ -49,7 +43,7 @@ struct SnapshotStats {
   /// time-varying list (pairs whose estimate depends on `now` even without
   /// new contacts). A full/first snapshot reports the whole triangle
   /// (never-met pairs are trivially re-evaluated to the prior, so both
-  /// backends report the same number).
+  /// layouts report the same number).
   std::size_t dirtyPairs = 0;
   /// Pairs whose written value actually differs from the previous snapshot.
   std::size_t changedPairs = 0;
@@ -64,8 +58,8 @@ struct EstimatorConfig {
   /// Rate assumed for a pair never seen (0 disables such pairs entirely;
   /// a small floor keeps "no information yet" pairs selectable early on).
   double priorRate = 0.0;
-  /// Pair-state storage: dense triangle, sparse observed-pair table, or
-  /// size-based auto selection (trace/pair_backend.hpp).
+  /// Pair-state layout: dense triangle, sparse observed-pair table, or
+  /// size-based auto selection (trace/pair_index.hpp).
   PairBackend backend = PairBackend::kAuto;
 };
 
@@ -85,14 +79,9 @@ class ContactRateEstimator {
   double meetingProbability(NodeId i, NodeId j, sim::SimTime window,
                             sim::SimTime now) const;
 
-  /// Estimated activity of node i: sum over peers of rate(i, ·). Sparse
-  /// backend: observed peers in ascending order plus the closed-form prior
-  /// contribution for the rest.
-  double nodeRateSum(NodeId i, sim::SimTime now) const;
-
   /// Snapshot all estimates into a RateMatrix (for centrality computation).
-  /// The matrix uses the estimator's backend; a sparse snapshot stores only
-  /// observed pairs and reads `priorRate` for the rest.
+  /// The matrix uses the estimator's layout with `priorRate` as its default
+  /// rate; observed pairs are written in ascending (i, j) order.
   RateMatrix snapshot(sim::SimTime now) const;
 
   /// Incrementally refresh `out` in place so it equals `snapshot(now)`
@@ -111,10 +100,10 @@ class ContactRateEstimator {
   /// full-recompute escape hatch), and the dirty/time-varying bookkeeping
   /// advances identically.
   ///
-  /// The first call (or a call after a node-count/backend mismatch) resizes
-  /// `out` and performs a full rewrite. The dirty list is consumed by the
-  /// call, so the incremental contract holds for a single target matrix
-  /// only. Steady-state calls allocate nothing once the bookkeeping is warm.
+  /// The first call (or a call after a node-count, layout or default-rate
+  /// mismatch) resizes `out` and performs a full rewrite. The dirty list is
+  /// consumed by the call, so the incremental contract holds for a single
+  /// target matrix only. Steady-state calls allocate nothing once the bookkeeping is warm.
   SnapshotStats snapshotInto(RateMatrix& out, sim::SimTime now,
                              std::vector<NodeId>* changedNodes = nullptr,
                              bool force = false);
@@ -129,7 +118,7 @@ class ContactRateEstimator {
   std::size_t observedPairCount() const;
 
   std::size_t nodeCount() const { return nodeCount_; }
-  bool isSparse() const { return sparse_; }
+  bool isSparse() const { return index_.isSparse(); }
   const EstimatorConfig& config() const { return config_; }
 
   /// Sharded-kernel support (runner/shard_driver). Between enterShardMode
@@ -137,8 +126,8 @@ class ContactRateEstimator {
   /// pairs concurrently; cross-thread ordering comes from the driver's
   /// epoch protocol, never from this class. Two things change:
   ///  - pair creation is disabled: every pair appearing in
-  ///    `contacts[first, end)` is pre-created here (in trace order), so
-  ///    workers never grow the pair table or the adjacency rows. Pre-created
+  ///    `contacts[first, end)` is inserted here (in trace order), so
+  ///    workers never grow the pair table or the adjacency rows. Inserted
   ///    pairs that never record a contact (e.g. churn-suppressed) stay
   ///    invisible: every read path skips totalCount == 0 state.
   ///  - dirty marking goes to a per-context sink, each entry tagged with the
@@ -153,14 +142,9 @@ class ContactRateEstimator {
   void exitShardMode();
 
  private:
-  /// Dense backend: pair states live in an upper-triangular array — the
-  /// estimator is probed for every forwarding decision at every contact
-  /// (rate() is by far its hottest entry point), and with a few hundred
-  /// nodes the full triangle is smaller than the hash map it replaces, with
-  /// one indexed load per lookup instead of a hash probe. Sparse backend:
-  /// states live in an insertion-ordered slot vector reached through an
-  /// open-addressing SlotIndex (one probe per lookup), so memory follows
-  /// observed pairs, not n².
+  /// One per pair slot. The estimator is probed for every forwarding
+  /// decision at every contact (rate() is by far its hottest entry point),
+  /// so in the dense layout a lookup is one branch plus one indexed load.
   struct PairState {
     std::size_t totalCount = 0;
     sim::SimTime lastContact = sim::kNever;
@@ -168,29 +152,14 @@ class ContactRateEstimator {
     std::uint32_t recentStart = 0;  ///< live prefix offset into recent_ row
   };
 
-  /// Sparse adjacency entry: peer id + index of the pair's state in pairs_.
-  struct NodeNbr {
-    NodeId id;
-    std::uint32_t idx;
-  };
+  /// Slot of pair {a, b}, created with its state on first sight.
+  std::uint32_t insertPair(NodeId a, NodeId b);
 
-  static constexpr std::uint32_t kNoPair = static_cast<std::uint32_t>(-1);
+  /// Slot of a packed pair key (pairs on the dirty/varying lists always
+  /// exist).
+  std::uint32_t slotOfKey(std::uint64_t key) const;
 
-  /// Triangular index of the normalized pair (i < j after swap); dense only.
-  std::size_t pairIndex(NodeId i, NodeId j) const;
-
-  /// Storage index of the pair (triangular index or sparse slot), or kNoPair
-  /// if the sparse backend has never seen it.
-  std::uint32_t findPair(NodeId i, NodeId j) const;
-
-  /// Like findPair, but creates sparse state on first sight.
-  std::uint32_t findOrCreatePair(NodeId a, NodeId b);
-
-  /// Storage index for a packed pair key (pairs on the dirty/varying lists
-  /// always exist).
-  std::uint32_t indexOfKey(std::uint64_t key) const;
-
-  /// Estimate for a pair state (kNoPair reads as priorRate).
+  /// Estimate for a pair slot (PairIndex::kNoSlot reads as priorRate).
   double rateOf(std::uint32_t idx, sim::SimTime now) const;
 
   /// Evaluate rates for every pair in batchIdx_ into batchVal_, using the
@@ -200,12 +169,6 @@ class ContactRateEstimator {
   /// results are bit-identical. kSlidingWindow needs the per-pair recent
   /// row and stays scalar.
   void evaluateBatch(sim::SimTime now);
-
-  /// Number of pairs a full snapshot conceptually re-evaluates (the whole
-  /// triangle, identical across backends).
-  std::size_t triangleCount() const {
-    return nodeCount_ >= 2 ? nodeCount_ * (nodeCount_ - 1) / 2 : 0;
-  }
 
   /// True when this pair's estimate no longer depends on `now` — it will
   /// return the same value at every later time until a new contact arrives.
@@ -219,23 +182,19 @@ class ContactRateEstimator {
   std::size_t nodeCount_;
   EstimatorConfig config_;
   sim::SimTime startTime_;
-  bool sparse_ = false;
 
-  /// Dense: n(n-1)/2 entries, triangular. Sparse: one entry per observed
-  /// pair, insertion order, addressed through pairSlots_.
-  std::vector<PairState> pairs_;
-  core::SlotIndex pairSlots_;            ///< sparse: packed pair -> index into pairs_
-  std::vector<std::vector<NodeNbr>> nodeNbrs_;  ///< sparse: per node, ascending peers
+  PairIndex index_;
+  std::vector<PairState> pairs_;  ///< slot -> state
 
   /// Per-pair recent contact times (kSlidingWindow only; rows are pruned
-  /// via PairState::recentStart and compacted amortized-O(1)). Indexed like
-  /// pairs_.
+  /// via PairState::recentStart and compacted amortized-O(1)). Indexed by
+  /// slot, like pairs_.
   std::vector<std::vector<sim::SimTime>> recent_;
 
   /// Incremental-snapshot bookkeeping: dedup'd packed-pair lists, with
-  /// membership bits over the pair storage index space (triangular index
-  /// or sparse slot). `dirty` = touched by recordContact since the last
-  /// snapshotInto (one bit test + rare push on the contact hot path);
+  /// membership bits over the pair slots. `dirty` = touched by
+  /// recordContact since the last snapshotInto (one bit test + rare push on
+  /// the contact hot path);
   /// `varying` = seen pairs whose estimate still depends on `now`,
   /// recompacted at each snapshot.
   core::DenseBitset dirtyBits_;
@@ -246,8 +205,8 @@ class ContactRateEstimator {
   bool snapshotPrimed_ = false;
 
   /// snapshotInto's data-oriented scratch: the incremental pass gathers
-  /// (key, storage index) for the dirty + time-varying lists once, lifts
-  /// the fields the mode needs into contiguous columns, evaluates, then
+  /// (key, slot) for the dirty + time-varying lists once, lifts the fields
+  /// the mode needs into contiguous columns, evaluates, then
   /// compare-and-scatters. Members (not locals) so steady-state snapshots
   /// stay allocation-free.
   std::vector<std::uint64_t> batchKeys_;

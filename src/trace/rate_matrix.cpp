@@ -1,43 +1,15 @@
 #include "trace/rate_matrix.hpp"
 
-#include <algorithm>
-
 namespace dtncache::trace {
-
-double& RateMatrix::slotOf(NodeId i, NodeId j) {
-  const std::uint64_t key = core::packSymmetricPair(i, j);
-  std::uint32_t slot = index_.find(key);
-  if (slot == core::SlotIndex::kNoSlot) {
-    slot = static_cast<std::uint32_t>(values_.size());
-    values_.push_back(defaultRate_);
-    index_.insert(key, slot);
-    insertNeighbor(i, j, slot);
-    insertNeighbor(j, i, slot);
-  }
-  return values_[slot];
-}
-
-void RateMatrix::insertNeighbor(NodeId i, NodeId j, std::uint32_t slot) {
-  auto& row = neighbors_[i];
-  const auto pos = std::lower_bound(
-      row.begin(), row.end(), j,
-      [](const Neighbor& nb, NodeId id) { return nb.id < id; });
-  row.insert(pos, Neighbor{j, slot});
-}
 
 RateMatrix RateMatrix::fitFromTrace(const ContactTrace& trace, PairBackend backend) {
   RateMatrix m(trace.nodeCount(), backend);
   const sim::SimTime d = trace.duration();
   if (d <= 0.0) return m;
   // Accumulate counts in one pass, then normalize. Per-pair counts are
-  // order-free, so both backends produce identical values.
-  if (!m.sparse_) {
-    for (const auto& c : trace.contacts()) m.rates_[m.index(c.a, c.b)] += 1.0;
-    for (auto& r : m.rates_) r /= d;
-  } else {
-    for (const auto& c : trace.contacts()) m.slotOf(c.a, c.b) += 1.0;
-    for (auto& r : m.values_) r /= d;
-  }
+  // order-free, so both layouts produce identical values.
+  for (const auto& c : trace.contacts()) m.at(c.a, c.b) += 1.0;
+  for (auto& r : m.values_) r /= d;
   return m;
 }
 

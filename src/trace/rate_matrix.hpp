@@ -10,29 +10,20 @@
 /// synthetic generator, or fit from a whole trace) or a node's local
 /// estimate (trace/estimator.hpp).
 ///
-/// Two storage backends behind one interface (trace/pair_backend.hpp):
-///  - dense: the classic n(n-1)/2 upper-triangular array — one indexed load
-///    per lookup, ideal at paper scale (tens to hundreds of nodes);
-///  - sparse: observed pairs only, in an open-addressing SlotIndex keyed by
-///    packed pair plus per-node ascending adjacency rows. Pairs never
-///    stored read as `defaultRate()` (0 unless constructed otherwise), and
-///    row iteration / rate sums touch only stored neighbors — the
-///    representation that makes 10^5–10^6-node scenarios fit in memory.
-/// Backend choice never changes values: with defaultRate == 0 every derived
-/// quantity is bit-identical across backends (skipping a 0.0 term of a
-/// non-negative ascending sum cannot change the accumulation); a nonzero
-/// default is folded in closed form, mathematically equal but associating
-/// differently (see pair_backend.hpp for the full contract).
+/// Storage is a PairIndex (trace/pair_index.hpp, which owns the dense or
+/// sparse layout decision) plus one λ per slot. Pairs without a slot — only
+/// possible in the sparse layout — read as `defaultRate()` (0 unless
+/// constructed otherwise), and neighbor iteration touches slotted pairs
+/// only, which is what makes 10^5–10^6-node scenarios fit in memory. The
+/// layout never changes a value.
 
 #include <cmath>
 #include <limits>
-#include <utility>
 #include <vector>
 
-#include "core/slot_index.hpp"
 #include "sim/assert.hpp"
 #include "trace/contact.hpp"
-#include "trace/pair_backend.hpp"
+#include "trace/pair_index.hpp"
 
 namespace dtncache::trace {
 
@@ -52,60 +43,36 @@ class RateMatrix {
  public:
   RateMatrix() = default;
 
-  /// Auto-selected backend (dense at paper scale, sparse above the
+  /// Auto-selected layout (dense at paper scale, sparse above the
   /// threshold or under the DTNCACHE_SPARSE_PAIRS override). n == 0 and
   /// n == 1 are valid degenerate matrices with no pairs.
   explicit RateMatrix(std::size_t n) : RateMatrix(n, PairBackend::kAuto) {}
 
-  /// Explicit backend; `defaultRate` is what never-stored pairs read as
-  /// (sparse backend only — the dense triangle starts at 0 and a nonzero
-  /// default would have to be materialized, defeating its point).
+  /// Explicit layout; `defaultRate` is what a pair reads until setRate
+  /// touches it.
   RateMatrix(std::size_t n, PairBackend backend, double defaultRate = 0.0)
-      : n_(n), sparse_(useSparsePairs(n, backend)), defaultRate_(defaultRate) {
+      : pairs_(n, backend), defaultRate_(defaultRate), values_(pairs_.slotCount(), defaultRate) {
     DTNCACHE_CHECK(defaultRate >= 0.0);
-    if (sparse_) {
-      neighbors_.resize(n);
-    } else {
-      DTNCACHE_CHECK_MSG(defaultRate == 0.0,
-                         "dense RateMatrix supports only defaultRate == 0");
-      rates_.assign(n >= 2 ? n * (n - 1) / 2 : 0, 0.0);
-    }
   }
 
-  std::size_t nodeCount() const { return n_; }
-  bool isSparse() const { return sparse_; }
+  std::size_t nodeCount() const { return pairs_.nodeCount(); }
+  bool isSparse() const { return pairs_.isSparse(); }
+  PairBackend layout() const { return pairs_.layout(); }
   double defaultRate() const { return defaultRate_; }
 
-  /// Pairs with a stored entry: every observed pair for the sparse backend,
-  /// the whole triangle for the dense one.
-  std::size_t observedPairCount() const {
-    return sparse_ ? values_.size() : rates_.size();
-  }
-
-  /// Stored neighbors of node i (n-1 for the dense backend).
-  std::size_t neighborCount(NodeId i) const {
-    DTNCACHE_CHECK(i < n_);
-    if (sparse_) return neighbors_[i].size();
-    return n_ >= 1 ? n_ - 1 : 0;
-  }
+  /// Pairs with a stored entry: every set pair in the sparse layout, the
+  /// whole triangle in the dense one.
+  std::size_t observedPairCount() const { return values_.size(); }
 
   double rate(NodeId i, NodeId j) const {
     if (i == j) return 0.0;
-    if (!sparse_) return rates_[index(i, j)];
-    DTNCACHE_CHECK(i < n_ && j < n_);
-    const std::uint32_t slot = index_.find(core::packSymmetricPair(i, j));
-    return slot == core::SlotIndex::kNoSlot ? defaultRate_ : values_[slot];
+    const std::uint32_t slot = pairs_.find(i, j);
+    return slot == PairIndex::kNoSlot ? defaultRate_ : values_[slot];
   }
 
   void setRate(NodeId i, NodeId j, double lambda) {
-    DTNCACHE_CHECK(i != j);
     DTNCACHE_CHECK(lambda >= 0.0);
-    if (!sparse_) {
-      rates_[index(i, j)] = lambda;
-      return;
-    }
-    DTNCACHE_CHECK(i < n_ && j < n_);
-    slotOf(i, j) = lambda;
+    at(i, j) = lambda;
   }
 
   /// P(i meets j at least once within `window`).
@@ -113,34 +80,11 @@ class RateMatrix {
     return contactProbability(rate(i, j), window);
   }
 
-  /// Sum of rates from node i to all others (its total contact activity).
-  /// Sparse: stored neighbors in ascending order plus the closed-form
-  /// default contribution for the rest.
-  double nodeRateSum(NodeId i) const {
-    double s = 0.0;
-    if (!sparse_) {
-      for (NodeId j = 0; j < n_; ++j)
-        if (j != i) s += rate(i, j);
-      return s;
-    }
-    DTNCACHE_CHECK(i < n_);
-    for (const Neighbor& nb : neighbors_[i]) s += values_[nb.slot];
-    if (defaultRate_ > 0.0 && n_ >= 1)
-      s += defaultRate_ * static_cast<double>(n_ - 1 - neighbors_[i].size());
-    return s;
-  }
-
-  /// Visit node i's stored neighbors as f(NodeId j, double rate), in
-  /// ascending j. Dense backend: every j != i (stored by definition).
+  /// Visit node i's stored pairs as f(NodeId j, double rate), in ascending
+  /// j — every j != i in the dense layout.
   template <typename F>
   void forEachNeighbor(NodeId i, F&& f) const {
-    DTNCACHE_CHECK(i < n_);
-    if (sparse_) {
-      for (const Neighbor& nb : neighbors_[i]) f(nb.id, values_[nb.slot]);
-      return;
-    }
-    for (NodeId j = 0; j < n_; ++j)
-      if (j != i) f(j, rates_[index(i, j)]);
+    pairs_.forEachNeighbor(i, [&](NodeId j, std::uint32_t slot) { f(j, values_[slot]); });
   }
 
   /// Fit the maximum-likelihood rate matrix from a trace:
@@ -149,39 +93,16 @@ class RateMatrix {
                                  PairBackend backend = PairBackend::kAuto);
 
  private:
-  struct Neighbor {
-    NodeId id;
-    std::uint32_t slot;  ///< into values_
-  };
-
-  std::size_t index(NodeId i, NodeId j) const {
-    DTNCACHE_CHECK(i < n_ && j < n_);
-    if (i > j) std::swap(i, j);
-    // Row-major upper triangle, row i holds (n-1-i) entries.
-    const std::size_t row = i;
-    const std::size_t offset = row * (2 * n_ - row - 1) / 2;
-    return offset + (j - i - 1);
+  /// Stored value of pair {i, j}, created at defaultRate_ if absent.
+  double& at(NodeId i, NodeId j) {
+    const std::uint32_t slot = pairs_.insert(i, j);
+    if (slot == values_.size()) values_.push_back(defaultRate_);
+    return values_[slot];
   }
 
-  /// Sparse backend: value slot of pair (i, j), created (at defaultRate_,
-  /// with both adjacency rows updated) if absent.
-  double& slotOf(NodeId i, NodeId j);
-
-  /// Ascending insert of (j, slot) into row i (no-op if already present —
-  /// callers only insert fresh pairs).
-  void insertNeighbor(NodeId i, NodeId j, std::uint32_t slot);
-
-  std::size_t n_ = 0;
-  bool sparse_ = false;
+  PairIndex pairs_;
   double defaultRate_ = 0.0;
-
-  // Dense backend.
-  std::vector<double> rates_;
-
-  // Sparse backend.
-  core::SlotIndex index_;                       ///< packed pair -> slot
-  std::vector<double> values_;                  ///< slot -> λ
-  std::vector<std::vector<Neighbor>> neighbors_;  ///< per node, ascending j
+  std::vector<double> values_;  ///< slot -> λ
 };
 
 }  // namespace dtncache::trace

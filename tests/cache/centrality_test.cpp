@@ -174,6 +174,18 @@ TEST(CentralityState, IncrementalCapabilityOverloadMatchesBatch) {
   changed = {2, 7};
   const auto& cap2 = contactCapability(state, m, 200.0, changed);
   EXPECT_EQ(cap2, contactCapability(m, 200.0));
+
+  // A different sparse matrix of the same shape that no longer stores pair
+  // (2, 7): reporting both endpoints must drop the cached probability.
+  trace::RateMatrix before(10, trace::PairBackend::kSparse);
+  before.setRate(1, 3, 0.02);
+  before.setRate(2, 7, 0.04);
+  trace::RateMatrix after(10, trace::PairBackend::kSparse);
+  after.setRate(1, 3, 0.02);
+  CentralityState sparseState;
+  contactCapability(sparseState, before, 200.0, {});
+  EXPECT_EQ(contactCapability(sparseState, after, 200.0, changed),
+            contactCapability(after, 200.0));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "obs/tracer.hpp"
 #include "runner/experiment.hpp"
 #include "runner/shard_plan.hpp"
+#include "trace/pair_index.hpp"
 
 namespace dtncache::runner {
 namespace {
@@ -163,10 +164,13 @@ TEST(ShardEquivalence, PullSchemeUnderChurn) {
 }
 
 TEST(ShardEquivalence, SparsePairBackendPrecreationIsInvisible) {
-  // Under the sparse pair backend the estimator pre-creates pair slots for
+  // Under the sparse pair layout the estimator pre-creates pair slots for
   // the whole horizon at enterShardMode; zero-count slots must stay
-  // invisible to rate sums, snapshots, and observedPairCount.
+  // invisible to rates, snapshots, and observedPairCount.
   ::setenv("DTNCACHE_SPARSE_PAIRS", "1", 1);
+  // The override must take effect even after earlier tests in this process
+  // built pair structures, or this test silently runs dense.
+  ASSERT_TRUE(trace::useSparsePairs(60, trace::PairBackend::kAuto));
   const auto cfg = smallMobilityConfig(trace::RateModel::kMobilityCommunity);
   const Capture plain = runWith(cfg, 1);
   const Capture sharded = runWith(cfg, 4);

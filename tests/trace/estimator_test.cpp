@@ -86,16 +86,6 @@ TEST(Estimator, EwmaSingleContactFallsBackToCumulative) {
   EXPECT_DOUBLE_EQ(e.rate(0, 1, 100.0), 1.0 / 100.0);
 }
 
-TEST(Estimator, NodeRateSumAddsPeers) {
-  EstimatorConfig cfg;
-  cfg.mode = EstimatorMode::kCumulative;
-  ContactRateEstimator e(4, cfg, 0.0);
-  e.recordContact(0, 1, 10.0);
-  e.recordContact(0, 2, 10.0);
-  e.recordContact(1, 2, 10.0);
-  EXPECT_DOUBLE_EQ(e.nodeRateSum(0, 100.0), 2.0 / 100.0);
-}
-
 TEST(Estimator, SnapshotMatchesPointQueries) {
   EstimatorConfig cfg;
   cfg.mode = EstimatorMode::kCumulative;

@@ -96,7 +96,7 @@ TEST(SyntheticMobility, GraphIsSparseAndRatesNormalized) {
   ASSERT_TRUE(rates.isSparse());
   EXPECT_EQ(rates.observedPairCount(), m.edgeCount());
   double sum = 0.0;
-  for (NodeId i = 0; i < n; ++i) sum += rates.nodeRateSum(i);
+  for (NodeId i = 0; i < n; ++i) rates.forEachNeighbor(i, [&](NodeId, double r) { sum += r; });
   sum /= 2.0;  // each pair counted from both endpoints
   const double meanPerDay =
       sum / static_cast<double>(m.edgeCount()) * sim::days(1);

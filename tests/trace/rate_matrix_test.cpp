@@ -36,14 +36,6 @@ TEST(RateMatrix, AllPairsIndependentlyAddressable) {
     for (NodeId j = i + 1; j < n; ++j) EXPECT_DOUBLE_EQ(m.rate(i, j), v++);
 }
 
-TEST(RateMatrix, NodeRateSum) {
-  RateMatrix m(3);
-  m.setRate(0, 1, 0.2);
-  m.setRate(0, 2, 0.3);
-  EXPECT_DOUBLE_EQ(m.nodeRateSum(0), 0.5);
-  EXPECT_DOUBLE_EQ(m.nodeRateSum(1), 0.2);
-}
-
 TEST(RateMatrix, MeetingProbability) {
   RateMatrix m(2);
   m.setRate(0, 1, 0.1);

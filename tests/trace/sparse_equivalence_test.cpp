@@ -1,12 +1,16 @@
-/// Cross-backend equivalence: the sparse pair-state backend must be
-/// bit-identical to the dense triangle on every derived quantity when the
-/// default (never-met) rate is 0 — the contract stated in
-/// trace/pair_backend.hpp. Randomized contact histories drive both backends
-/// through the same API calls and compare raw doubles with ==, not
-/// tolerances: byte-equality of sweep outputs is the acceptance bar.
+/// Cross-layout equivalence: the sparse pair layout must be bit-identical
+/// to the dense triangle on every derived quantity when the default
+/// (never-met) rate is 0 — the contract stated in trace/pair_index.hpp.
+/// Randomized contact histories drive both layouts through the same API
+/// calls and compare raw doubles with ==, not tolerances: byte-equality of
+/// sweep outputs is the acceptance bar.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cache/centrality.hpp"
@@ -21,6 +25,7 @@ using trace::ContactRateEstimator;
 using trace::EstimatorConfig;
 using trace::EstimatorMode;
 using trace::PairBackend;
+using trace::PairIndex;
 using trace::RateMatrix;
 
 /// Deterministic pseudo-random contact history over n nodes: returns
@@ -49,6 +54,72 @@ std::vector<trace::Contact> randomHistory(std::size_t n, std::size_t count,
   return out;
 }
 
+TEST(SparseEquivalence, PairIndexLayoutsAgree) {
+  const std::size_t n = 29;
+  PairIndex dense(n, PairBackend::kDense);
+  PairIndex sparse(n, PairBackend::kSparse);
+  ASSERT_FALSE(dense.isSparse());
+  ASSERT_TRUE(sparse.isSparse());
+  const std::size_t triangle = n * (n - 1) / 2;
+  EXPECT_EQ(dense.slotCount(), triangle);
+  EXPECT_EQ(sparse.slotCount(), 0u);
+
+  // Random inserts, repeats included; a fresh sparse pair gets the next slot.
+  std::set<std::pair<NodeId, NodeId>> inserted;
+  sim::Rng rng(13);
+  for (std::size_t k = 0; k < 150; ++k) {
+    const NodeId i = static_cast<NodeId>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    NodeId j = static_cast<NodeId>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    if (i == j) j = static_cast<NodeId>((j + 1) % n);
+    EXPECT_EQ(dense.insert(i, j), dense.find(j, i));
+    const std::size_t before = sparse.slotCount();
+    const bool fresh = inserted.insert(std::minmax(i, j)).second;
+    const std::uint32_t slot = sparse.insert(i, j);
+    if (fresh) {
+      EXPECT_EQ(slot, before);
+    }
+    EXPECT_EQ(sparse.slotCount(), before + (fresh ? 1 : 0));
+    EXPECT_EQ(slot, sparse.find(j, i));
+  }
+  EXPECT_EQ(dense.slotCount(), triangle);  // inserting never adds a dense slot
+  EXPECT_EQ(sparse.slotCount(), inserted.size());
+
+  // find: the dense slot is the row-major triangular index; the sparse one
+  // exists exactly for inserted pairs; both are symmetric.
+  std::uint32_t tri = 0;
+  for (NodeId i = 0; i < n; ++i)
+    for (NodeId j = i + 1; j < n; ++j, ++tri) {
+      EXPECT_EQ(dense.find(i, j), tri);
+      EXPECT_EQ(dense.find(j, i), tri);
+      const bool stored = inserted.count({i, j}) > 0;
+      EXPECT_EQ(sparse.find(i, j) != PairIndex::kNoSlot, stored) << i << "," << j;
+      EXPECT_EQ(sparse.find(i, j), sparse.find(j, i));
+    }
+
+  // forEachNeighbor: ascending j with the slot find() returns, and the
+  // sparse walk is the dense walk restricted to inserted pairs.
+  for (NodeId i = 0; i < n; ++i) {
+    std::vector<NodeId> denseRow;
+    std::vector<NodeId> restricted;
+    dense.forEachNeighbor(i, [&](NodeId j, std::uint32_t slot) {
+      EXPECT_EQ(slot, dense.find(i, j));
+      denseRow.push_back(j);
+      if (inserted.count(std::minmax(i, j)) > 0) restricted.push_back(j);
+    });
+    std::vector<NodeId> sparseRow;
+    sparse.forEachNeighbor(i, [&](NodeId j, std::uint32_t slot) {
+      EXPECT_EQ(slot, sparse.find(i, j));
+      sparseRow.push_back(j);
+    });
+    EXPECT_EQ(denseRow.size(), n - 1);
+    EXPECT_EQ(std::adjacent_find(denseRow.begin(), denseRow.end(), std::greater_equal<>()),
+              denseRow.end());
+    EXPECT_EQ(std::adjacent_find(sparseRow.begin(), sparseRow.end(), std::greater_equal<>()),
+              sparseRow.end());
+    EXPECT_EQ(sparseRow, restricted) << "node " << i;
+  }
+}
+
 TEST(SparseEquivalence, RateMatrixLookupsAndSums) {
   const std::size_t n = 37;
   RateMatrix dense(n, PairBackend::kDense);
@@ -67,7 +138,12 @@ TEST(SparseEquivalence, RateMatrixLookupsAndSums) {
   }
 
   for (NodeId i = 0; i < n; ++i) {
-    EXPECT_EQ(dense.nodeRateSum(i), sparse.nodeRateSum(i)) << "node " << i;
+    // Neighbor sums: the sparse walk skips only 0.0 terms.
+    double denseSum = 0.0;
+    double sparseSum = 0.0;
+    dense.forEachNeighbor(i, [&](NodeId, double r) { denseSum += r; });
+    sparse.forEachNeighbor(i, [&](NodeId, double r) { sparseSum += r; });
+    EXPECT_EQ(denseSum, sparseSum) << "node " << i;
     for (NodeId j = 0; j < n; ++j) {
       EXPECT_EQ(dense.rate(i, j), sparse.rate(i, j));
       EXPECT_EQ(dense.meetingProbability(i, j, sim::hours(6)),
@@ -87,13 +163,14 @@ TEST(SparseEquivalence, FitFromTraceIdentical) {
     for (NodeId j = i + 1; j < n; ++j) EXPECT_EQ(dense.rate(i, j), sparse.rate(i, j));
 }
 
-class SparseEstimatorEquivalence : public ::testing::TestWithParam<EstimatorMode> {};
-
-TEST_P(SparseEstimatorEquivalence, RatesSnapshotsAndStatsMatch) {
+/// Both layouts fed the same history: rates, snapshots, snapshot stats and
+/// changed-node lists must agree exactly, for any prior.
+void expectEstimatorLayoutsAgree(EstimatorMode mode, double priorRate) {
   const std::size_t n = 25;
   EstimatorConfig cfg;
-  cfg.mode = GetParam();
+  cfg.mode = mode;
   cfg.window = sim::hours(12);
+  cfg.priorRate = priorRate;
 
   EstimatorConfig denseCfg = cfg;
   denseCfg.backend = PairBackend::kDense;
@@ -109,7 +186,7 @@ TEST_P(SparseEstimatorEquivalence, RatesSnapshotsAndStatsMatch) {
   std::vector<NodeId> denseChanged;
   std::vector<NodeId> sparseChanged;
 
-  const auto history = randomHistory(n, 600, 0xfeedULL + static_cast<int>(GetParam()));
+  const auto history = randomHistory(n, 600, 0xfeedULL + static_cast<int>(mode));
   std::size_t fed = 0;
   for (std::size_t round = 1; round <= 6; ++round) {
     const std::size_t until = history.size() * round / 6;
@@ -121,11 +198,9 @@ TEST_P(SparseEstimatorEquivalence, RatesSnapshotsAndStatsMatch) {
     }
     now += 1.0;
 
-    for (NodeId i = 0; i < n; ++i) {
-      EXPECT_EQ(dense.nodeRateSum(i, now), sparse.nodeRateSum(i, now));
+    for (NodeId i = 0; i < n; ++i)
       for (NodeId j = i + 1; j < n; ++j)
         EXPECT_EQ(dense.rate(i, j, now), sparse.rate(i, j, now));
-    }
 
     const auto ds = dense.snapshotInto(denseOut, now, &denseChanged);
     const auto ss = sparse.snapshotInto(sparseOut, now, &sparseChanged);
@@ -143,16 +218,25 @@ TEST_P(SparseEstimatorEquivalence, RatesSnapshotsAndStatsMatch) {
   }
 }
 
+class SparseEstimatorEquivalence : public ::testing::TestWithParam<EstimatorMode> {};
+
+TEST_P(SparseEstimatorEquivalence, RatesSnapshotsAndStatsMatch) {
+  expectEstimatorLayoutsAgree(GetParam(), 0.0);
+  expectEstimatorLayoutsAgree(GetParam(), 1e-6);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModes, SparseEstimatorEquivalence,
                          ::testing::Values(EstimatorMode::kCumulative,
                                            EstimatorMode::kSlidingWindow,
                                            EstimatorMode::kEwma));
 
-TEST(SparseEquivalence, CentralityBatchAndIncremental) {
+/// Batch and incremental centrality over a dense and a sparse matrix
+/// holding the same rates must agree exactly, for any default rate.
+void expectCentralityLayoutsAgree(double defaultRate) {
   const std::size_t n = 31;
   const sim::SimTime window = sim::hours(6);
-  RateMatrix dense(n, PairBackend::kDense);
-  RateMatrix sparse(n, PairBackend::kSparse);
+  RateMatrix dense(n, PairBackend::kDense, defaultRate);
+  RateMatrix sparse(n, PairBackend::kSparse, defaultRate);
   sim::Rng rng(21);
   for (std::size_t k = 0; k < 150; ++k) {
     const NodeId i = static_cast<NodeId>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
@@ -195,30 +279,13 @@ TEST(SparseEquivalence, CentralityBatchAndIncremental) {
   cache::selectNcls(denseState, dense, window, 4, changed);
   cache::selectNcls(sparseState, sparse, window, 4, changed);
   EXPECT_EQ(denseState.ncls(), sparseState.ncls());
+  EXPECT_EQ(sparseState.capability(), cache::contactCapability(sparse, window));
+  EXPECT_EQ(sparseState.ncls(), cache::selectNcls(sparse, window, 4));
 }
 
-TEST(SparseEquivalence, NeighborCapTruncatesDeterministically) {
-  const std::size_t n = 40;
-  const sim::SimTime window = sim::hours(6);
-  RateMatrix sparse(n, PairBackend::kSparse);
-  sim::Rng rng(5);
-  for (NodeId j = 1; j < n; ++j)
-    sparse.setRate(0, j, rng.uniform(1e-6, 1e-4));  // node 0 is a big hub
-  sparse.setRate(1, 2, 5e-5);
-
-  cache::CentralityState exact;
-  cache::CentralityState capped;
-  capped.setNeighborCap(8);
-  const std::vector<NodeId> none;
-  const auto& full = cache::contactCapability(exact, sparse, window, none);
-  const auto& trunc = cache::contactCapability(capped, sparse, window, none);
-  // The hub loses mass under truncation; small rows are unaffected.
-  EXPECT_LT(trunc[0], full[0]);
-  EXPECT_EQ(trunc[1], full[1]);
-  // Re-running with the same cap reproduces the same values.
-  cache::CentralityState again;
-  again.setNeighborCap(8);
-  EXPECT_EQ(trunc, cache::contactCapability(again, sparse, window, none));
+TEST(SparseEquivalence, CentralityBatchAndIncremental) {
+  expectCentralityLayoutsAgree(0.0);
+  expectCentralityLayoutsAgree(1e-5);
 }
 
 TEST(SparseEquivalence, DegenerateSizes) {
@@ -231,13 +298,13 @@ TEST(SparseEquivalence, DegenerateSizes) {
     RateMatrix one(1, backend);
     EXPECT_EQ(one.nodeCount(), 1u);
     EXPECT_EQ(one.rate(0, 0), 0.0);
-    EXPECT_EQ(one.nodeRateSum(0), 0.0);
-    EXPECT_EQ(one.neighborCount(0), 0u);
+    std::size_t neighbors = 0;
+    one.forEachNeighbor(0, [&](NodeId, double) { ++neighbors; });
+    EXPECT_EQ(neighbors, 0u);
 
     EstimatorConfig cfg;
     cfg.backend = backend;
     ContactRateEstimator est(1, cfg);
-    EXPECT_EQ(est.nodeRateSum(0, sim::hours(1)), 0.0);
     RateMatrix out;
     const auto stats = est.snapshotInto(out, sim::hours(1));
     EXPECT_EQ(stats.dirtyPairs, 0u);
