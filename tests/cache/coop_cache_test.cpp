@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/baselines.hpp"
 #include "data/source.hpp"
 #include "net/network.hpp"
@@ -130,6 +132,26 @@ TEST(CoopCache, HeldVersionSemantics) {
   EXPECT_EQ(rig.coop.heldVersion(1, 0, 150.0), data::Version{0});
   // Non-holders hold nothing.
   EXPECT_FALSE(rig.coop.heldVersion(3, 0, 350.0).has_value());
+}
+
+TEST(CoopCache, HeldVersionExpiryBoundary) {
+  Rig rig({{1.0, 1.0, 0, 1}});
+  baselines::NoRefreshScheme scheme;
+  rig.start(scheme, 10.0);
+  // Warm start installed version 0, created at t=0 with lifetime 2*tau.
+  const CacheEntry* e = rig.coop.storeOf(1).find(0);
+  ASSERT_NE(e, nullptr);
+  const sim::SimTime expiry = rig.catalog.clock(0).expiryTime(0);
+  EXPECT_EQ(e->expiresAt, expiry);
+  EXPECT_EQ(expiry, 200.0);
+  // Valid strictly before expiresAt, gone at exactly expiresAt.
+  EXPECT_EQ(rig.coop.heldVersion(1, 0, std::nextafter(expiry, 0.0)), data::Version{0});
+  EXPECT_FALSE(rig.coop.heldVersion(1, 0, expiry).has_value());
+  EXPECT_FALSE(rig.coop.heldVersion(1, 0, expiry + 1.0).has_value());
+  // The source always answers, with the version live at the asked time.
+  EXPECT_EQ(rig.coop.heldVersion(0, 0, 0.0), data::Version{0});
+  EXPECT_EQ(rig.coop.heldVersion(0, 0, expiry), data::Version{2});
+  EXPECT_EQ(rig.coop.heldVersion(0, 0, 1e9), rig.catalog.clock(0).currentVersion(1e9));
 }
 
 TEST(CoopCache, PushVersionUpgradesMemberOnContact) {

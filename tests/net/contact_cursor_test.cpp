@@ -1,19 +1,23 @@
 /// \file contact_cursor_test.cpp
-/// Equivalence of the streaming contact cursor with the old eager fan-out.
+/// Equivalence of the streamed contact delivery with the old eager fan-out.
 ///
-/// Network::start used to schedule one closure per contact up front; it now
-/// walks the trace with a single self-rescheduling event holding reserved
-/// FIFO ranks. These tests pin the observable contract: the delivery
-/// sequence (including loss draws, filter suppression, and warm-up
+/// Network::start used to schedule one closure per contact up front. The
+/// trace is now a stream the kernel merges against its queue head: every
+/// contact keeps the FIFO rank reserved for it at start(), but none ever
+/// enters the event heap. These tests pin the observable contract: the
+/// delivery sequence (including loss draws, filter suppression, and warm-up
 /// truncation) is identical to an eager fan-out reference built on the same
 /// simulator primitives, ordering against same-time foreign events is
-/// unchanged, and the pending set no longer scales with trace length.
+/// unchanged, the pending set no longer scales with trace length, and the
+/// kernel's event counts equal those of the self-rescheduling cursor event
+/// the stream replaced.
 
 #include "net/network.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -167,6 +171,141 @@ TEST(ContactCursor, PendingSetStaysFlatDuringReplay) {
   // One cursor event live at a time (plus transient bookkeeping) — nowhere
   // near the O(#contacts) the eager fan-out held pending.
   EXPECT_LE(peak, 4u);
+}
+
+/// A foreign-event mix on both kernels: a periodic series, a one-shot at a
+/// contact instant scheduled before start(), and zero-delay and delayed
+/// follow-ups scheduled from inside contact callbacks. Returns the merged
+/// firing log ("c<i>" for the i-th delivered contact, "p", "o", "f<i>",
+/// "d<i>"), run as runUntil chunks whose bounds fall on contact instants.
+std::vector<std::string> timerMixRun(const trace::ContactTrace& trace, bool eager,
+                                     const std::vector<sim::SimTime>& bounds) {
+  sim::Simulator s;
+  std::vector<std::string> log;
+  const sim::SimTime tie = trace.contacts()[trace.contacts().size() / 2].start;
+  s.scheduleAt(tie, [&](sim::SimTime) { log.push_back("o"); });
+  s.schedulePeriodic(sim::minutes(30), [&](sim::SimTime) { log.push_back("p"); });
+  std::size_t delivered = 0;
+  auto onContact = [&](sim::SimTime) {
+    const std::size_t i = delivered++;
+    log.push_back("c" + std::to_string(i));
+    if (i % 7 == 0) s.scheduleAfter(0.0, [&, i](sim::SimTime) {
+      log.push_back("f" + std::to_string(i));
+    });
+    if (i % 11 == 0) s.scheduleAfter(45.0, [&, i](sim::SimTime) {
+      log.push_back("d" + std::to_string(i));
+    });
+  };
+  Network net(s, trace);
+  if (eager) {
+    for (const auto& c : trace.contacts())
+      s.scheduleAt(c.start, [&](sim::SimTime t) { onContact(t); });
+  } else {
+    net.start([&](NodeId, NodeId, sim::SimTime t, sim::SimTime, ContactChannel&) {
+      onContact(t);
+    });
+  }
+  for (const sim::SimTime u : bounds) s.runUntil(u);
+  return log;
+}
+
+TEST(ContactCursor, MatchesEagerFanoutWithTimersAndChunkedRuns) {
+  const auto trace = syntheticTrace(16);
+  const auto& cs = trace.contacts();
+  ASSERT_GT(cs.size(), 200u);
+  // Chunk bounds exactly on contact instants, between them, and past the end.
+  const std::vector<sim::SimTime> bounds = {cs[10].start, cs[10].start + 1e-3, cs[57].start,
+                                            cs[cs.size() / 2].start, sim::hours(5),
+                                            sim::hours(7)};
+  const auto expect = timerMixRun(trace, true, bounds);
+  const auto got = timerMixRun(trace, false, bounds);
+  EXPECT_EQ(got, expect);
+  EXPECT_GT(got.size(), cs.size());
+}
+
+TEST(ContactCursor, EventScheduledBeforeStartFiresBeforeSameInstantContact) {
+  std::vector<trace::Contact> cs = {{10.0, 1.0, 0, 1}, {20.0, 1.0, 1, 2}};
+  trace::ContactTrace trace(3, std::move(cs));
+  sim::Simulator s;
+  std::vector<int> order;
+  s.scheduleAt(20.0, [&](sim::SimTime) { order.push_back(1); });  // before start()
+  Network net(s, trace);
+  net.start([&](NodeId, NodeId, sim::SimTime, sim::SimTime, ContactChannel&) {
+    order.push_back(0);
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0}));
+}
+
+TEST(ContactCursor, EventScheduledInCallbackFiresAfterRemainingSameInstantContacts) {
+  // Three contacts share t = 10. The first one's callback schedules a
+  // zero-delay follow-up: it ranks after every contact reserved at start(),
+  // so both remaining same-instant contacts run first.
+  std::vector<trace::Contact> cs = {
+      {10.0, 1.0, 0, 1}, {10.0, 1.0, 1, 2}, {10.0, 1.0, 2, 3}, {11.0, 1.0, 0, 3}};
+  trace::ContactTrace trace(4, std::move(cs));
+  sim::Simulator s;
+  Network net(s, trace);
+  std::vector<std::string> order;
+  net.start([&](NodeId a, NodeId b, sim::SimTime t, sim::SimTime, ContactChannel&) {
+    order.push_back(std::to_string(a) + std::to_string(b));
+    if (order.size() == 1)
+      s.scheduleAfter(0.0, [&order, t](sim::SimTime at) {
+        EXPECT_EQ(at, t);
+        order.push_back("f");
+      });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"01", "12", "23", "f", "03"}));
+}
+
+TEST(ContactCursor, RunUntilDeliversBoundaryContactAndResumes) {
+  std::vector<trace::Contact> cs = {{10.0, 1.0, 0, 1}, {20.0, 1.0, 1, 2}, {30.0, 1.0, 0, 2}};
+  trace::ContactTrace trace(3, std::move(cs));
+  sim::Simulator s;
+  Network net(s, trace);
+  std::vector<sim::SimTime> seen;
+  net.start([&](NodeId, NodeId, sim::SimTime t, sim::SimTime, ContactChannel&) {
+    seen.push_back(t);
+  });
+  s.runUntil(20.0);  // the contact at exactly 20 is delivered
+  EXPECT_EQ(seen, (std::vector<sim::SimTime>{10.0, 20.0}));
+  EXPECT_EQ(s.now(), 20.0);
+  EXPECT_EQ(s.pendingEvents(), 1u);  // the rest of the stream
+  s.runUntil(29.5);  // stops before the contact at 30
+  EXPECT_EQ(seen.size(), 2u);
+  EXPECT_EQ(s.now(), 29.5);
+  s.runUntil(40.0);  // resumes it
+  EXPECT_EQ(seen, (std::vector<sim::SimTime>{10.0, 20.0, 30.0}));
+  EXPECT_EQ(s.pendingEvents(), 0u);
+  EXPECT_EQ(s.eventsProcessed(), 3u);
+}
+
+TEST(ContactCursor, KernelCountsMatchTheCursor) {
+  // Exact values the self-rescheduling cursor event produced on this
+  // scenario: the stream counts as one pending event while non-empty, and
+  // each delivered contact as one processed event.
+  const auto trace = syntheticTrace(17);
+  sim::Simulator s;
+  s.schedulePeriodic(sim::minutes(20), [](sim::SimTime) {});
+  Network net(s, trace);
+  std::size_t pendingSum = 0;
+  std::size_t calls = 0;
+  net.start([&](NodeId, NodeId, sim::SimTime, sim::SimTime, ContactChannel&) {
+    pendingSum += s.pendingEvents();
+    if (calls++ % 5 == 0) s.scheduleAfter(sim::minutes(3), [](sim::SimTime) {});
+  });
+  s.runUntil(sim::hours(3));
+  const std::size_t midPending = s.pendingEvents();
+  const std::uint64_t midProcessed = s.eventsProcessed();
+  s.runUntil(sim::hours(7));
+  EXPECT_EQ(calls, 1152u);
+  EXPECT_EQ(pendingSum, 6450u);  // as seen from inside the contact callbacks
+  EXPECT_EQ(midPending, 3u);
+  EXPECT_EQ(midProcessed, 229u);
+  EXPECT_EQ(s.eventsProcessed(), 1404u);
+  EXPECT_EQ(s.peakPendingEvents(), 10u);
+  EXPECT_EQ(s.pendingEvents(), 1u);  // the periodic series
 }
 
 }  // namespace
