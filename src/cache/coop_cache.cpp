@@ -53,16 +53,19 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
                              std::min(nodeCount_, maxSetSize + 1));
 
   cachingNodes_.resize(catalog_.size());
+  cachingBits_ = core::DenseBitset(catalog_.size() * nodeCount_);
   for (data::ItemId item = 0; item < catalog_.size(); ++item) {
     const NodeId source = catalog_.spec(item).source;
     auto& set = cachingNodes_[item];
     for (NodeId n : centralOrder_) {
       if (n == source) continue;
       set.push_back(n);
+      cachingBits_.set(static_cast<std::uint64_t>(item) * nodeCount_ + n);
       if (set.size() == itemSetSize(item)) break;
     }
     DTNCACHE_CHECK(set.size() == itemSetSize(item));
   }
+  utilities_ = net::ContactUtilities(nodeCount_, catalog_.size());
 
   handshakeHalf_ = ContactProtocol::handshakeBytes(catalog_.size(),
                                                    config_.versionVectorBytesPerItem);
@@ -137,25 +140,6 @@ void CooperativeCache::start(data::SourceProcess& sources, data::QueryWorkload* 
 const std::vector<NodeId>& CooperativeCache::cachingNodesOf(data::ItemId item) const {
   DTNCACHE_CHECK(item < cachingNodes_.size());
   return cachingNodes_[item];
-}
-
-bool CooperativeCache::isCachingNode(NodeId node, data::ItemId item) const {
-  const auto& set = cachingNodesOf(item);
-  return std::find(set.begin(), set.end(), node) != set.end();
-}
-
-std::optional<data::Version> CooperativeCache::heldVersion(NodeId n, data::ItemId item,
-                                                           sim::SimTime t) const {
-  if (n == sourceOf(item)) return catalog_.clock(item).currentVersion(t);
-  // An expired copy cannot answer queries and (being strictly older than any
-  // valid version — constant lifetime) could never win a push, so it is not
-  // a version the node "can provide". Filtering it here keeps heldVersion
-  // consistent with the activity fence, which classifies expired-only
-  // holders as inert.
-  if (const CacheEntry* e = stores_[n].find(item);
-      e != nullptr && catalog_.clock(item).isValid(e->version, t))
-    return e->version;
-  return std::nullopt;
 }
 
 bool CooperativeCache::pushVersion(NodeId from, NodeId to, data::ItemId item, sim::SimTime t,
@@ -369,6 +353,14 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
   // serves nobody, and the paper's schemes are all push-on-contact.
   scheme_->onContact(*this, a, b, t, channel);
 
+  // Every forwarding decision below reads the estimator as recorded at this
+  // contact's start, so both rounds share one utility memo. Forwarding only
+  // runs from a buffer with a live message, and only such a buffer can hand
+  // messages on, so the memo opens exactly when a round can read it. That
+  // never happens on the sharded kernel's worker threads: a node buffering
+  // a live message is protocol-active, so its contacts are fences.
+  if (buffers_[a].hasLive(t) || buffers_[b].hasLive(t)) utilities_.open(estimator_, a, b, t);
+
   // Two rounds so a reply (or pull response) generated while processing one
   // side's buffer is handed over before the contact ends — contacts last
   // minutes, easily enough for a request/response round trip.
@@ -415,14 +407,9 @@ void CooperativeCache::deliverReply(const net::Message& reply, sim::SimTime t) {
                  {"item", reply.item}, {"version", reply.version},
                  {"query", reply.queryId}, {"fresh", fresh}, {"valid", valid},
                  {"delay", t - reply.createdAt});
-  satisfied_.set(reply.queryId);
   // A requester that is itself a caching node keeps the data it just got.
   if (isCachingNode(reply.requester, reply.item))
     installCopy(reply.requester, reply.item, reply.version, t);
-}
-
-double CooperativeCache::utilityToNode(NodeId from, NodeId dst, sim::SimTime t) const {
-  return estimator_.rate(from, dst, t);
 }
 
 double CooperativeCache::utilityToCachingSet(NodeId from, data::ItemId item,
@@ -464,9 +451,11 @@ void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
           continue;
         }
         // Spray toward the item's caching set.
-        const double mine = utilityToCachingSet(from, m.item, t);
-        const double theirs = utilityToCachingSet(to, m.item, t);
-        const bool better = theirs > mine * config_.forwarding.improvementFactor && theirs > 0.0;
+        const auto toCachingSet = [&](NodeId n) { return utilityToCachingSet(n, m.item, t); };
+        const double mine = utilities_.utility(from, m.item, toCachingSet);
+        const double theirs = utilities_.utility(to, m.item, toCachingSet);
+        const bool better =
+            net::improvesOn(mine, theirs, config_.forwarding.improvementFactor);
         if (better && m.copiesLeft >= 1 && m.hopCount < config_.forwarding.maxHops &&
             !buffers_[to].contains(m.id)) {
           if (!channel.transfer(net::Traffic::kQuery, m.wireBytes(), from)) break;
@@ -494,8 +483,7 @@ void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
           toRemove.push_back(m.id);
           continue;
         }
-        if (net::betterCarrier(estimator_, from, to, m.dst, t,
-                               config_.forwarding.improvementFactor) &&
+        if (utilities_.betterCarrier(from, to, m.dst, config_.forwarding.improvementFactor) &&
             m.hopCount < config_.forwarding.maxHops && !buffers_[to].contains(m.id)) {
           if (!channel.transfer(cat, m.wireBytes(), from)) break;
           const std::uint32_t share = net::sprayShare(m.copiesLeft);
@@ -527,8 +515,7 @@ void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
           toRemove.push_back(m.id);
           continue;
         }
-        if (net::betterCarrier(estimator_, from, to, m.dst, t,
-                               config_.forwarding.improvementFactor) &&
+        if (utilities_.betterCarrier(from, to, m.dst, config_.forwarding.improvementFactor) &&
             m.hopCount < config_.forwarding.maxHops && !buffers_[to].contains(m.id)) {
           if (!channel.transfer(net::Traffic::kPull, m.wireBytes(), from)) break;
           const std::uint32_t share = net::sprayShare(m.copiesLeft);

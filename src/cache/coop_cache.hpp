@@ -80,12 +80,28 @@ class CooperativeCache {
   // ---- scheme-facing API --------------------------------------------------
 
   const std::vector<NodeId>& cachingNodesOf(data::ItemId item) const;
-  bool isCachingNode(NodeId node, data::ItemId item) const;
+  bool isCachingNode(NodeId node, data::ItemId item) const {
+    DTNCACHE_CHECK(item < cachingNodes_.size());
+    return cachingBits_.test(static_cast<std::uint64_t>(item) * nodeCount_ + node);
+  }
   NodeId sourceOf(data::ItemId item) const { return catalog_.spec(item).source; }
 
   /// Version of `item` node `n` can currently provide: the live version for
-  /// the source, the cached version for a holder, nullopt otherwise.
-  std::optional<data::Version> heldVersion(NodeId n, data::ItemId item, sim::SimTime t) const;
+  /// the source, the cached version for a holder, nullopt otherwise. Every
+  /// scheme reads it for every item at every contact, so it is inline.
+  std::optional<data::Version> heldVersion(NodeId n, data::ItemId item, sim::SimTime t) const {
+    const data::VersionClock& clock = catalog_.clock(item);
+    if (n == clock.spec().source) return clock.currentVersion(t);
+    // An expired copy cannot answer queries and (being strictly older than
+    // any valid version — constant lifetime) could never win a push, so it
+    // is not a version the node "can provide". Filtering it here keeps
+    // heldVersion consistent with the activity fence, which classifies
+    // expired-only holders as inert. installCopy stores exactly
+    // clock.expiryTime(v), so `t < expiresAt` is the clock's isValid test.
+    if (const CacheEntry* e = stores_[n].find(item); e != nullptr && t < e->expiresAt)
+      return e->version;
+    return std::nullopt;
+  }
 
   /// Move the newest version `from` holds to `to` (a caching node of the
   /// item), if it is newer than what `to` holds and the channel budget
@@ -176,6 +192,8 @@ class CooperativeCache {
   void handleQuery(const data::Query& q);
   void handleNewVersion(data::ItemId item, data::Version v, sim::SimTime t);
   /// Process `from`'s buffer against peer `to` (answer, deliver, spray).
+  /// Reads forwarding utilities through utilities_, which handleContact
+  /// opened for this contact.
   void forwardBuffered(NodeId from, NodeId to, sim::SimTime t, net::ContactChannel& channel);
   /// Can `node` answer a query for `item` right now with a valid copy?
   bool canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const;
@@ -183,7 +201,8 @@ class CooperativeCache {
   void deliverReply(const net::Message& reply, sim::SimTime t);
   /// Install a copy into a caching node's store, reporting to metrics.
   void installCopy(NodeId at, data::ItemId item, data::Version v, sim::SimTime t);
-  double utilityToNode(NodeId from, NodeId dst, sim::SimTime t) const;
+  /// Best estimated rate from `from` to the item's source or any of its
+  /// caching nodes: the utility a query copy is sprayed by.
   double utilityToCachingSet(NodeId from, data::ItemId item, sim::SimTime t) const;
   void scheduleSampling(sim::SimTime horizon);
   void emitPlacement(sim::SimTime t);
@@ -207,13 +226,18 @@ class CooperativeCache {
   std::vector<net::MessageBuffer> buffers_;
   std::vector<NodeId> centralOrder_;
   std::vector<std::vector<NodeId>> cachingNodes_;  ///< per item
+  core::DenseBitset cachingBits_;  ///< (item, node) membership, bit item·N + node
 
   core::DenseBitset sourceNode_;  ///< nodes that are the source of some item
   core::DenseBitset answeredAt_;  ///< (query, node) reply-dedup, answeredKey bits
-  core::DenseBitset satisfied_;   ///< delivered to requester, query-id bits
   /// Deferred-removal scratch for forwardBuffered: reused across contacts so
   /// the steady-state contact path does not allocate.
   std::vector<net::MessageId> toRemoveScratch_;
+  /// Per-contact forwarding-utility memo (destination rates and caching-set
+  /// utilities keyed by item). Opened only for contacts where an endpoint
+  /// buffers a live message, so the sharded kernel's worker threads — which
+  /// run only contacts whose endpoints buffer nothing live — never write it.
+  net::ContactUtilities utilities_;
   /// Per-direction handshake cost (header + version vector), fixed by the
   /// catalog size; precomputed so handleContact does no arithmetic setup.
   std::uint64_t handshakeHalf_ = 0;

@@ -444,7 +444,7 @@ void HierarchicalRefreshScheme::injectRelays(cache::CooperativeCache& cache, Nod
 
       // Only hand to a strictly better carrier toward the target.
       const double theirs = cache.estimator().rate(carrier, target, t);
-      if (!(theirs > mine * fwd.improvementFactor && theirs > 0.0)) continue;
+      if (!net::improvesOn(mine, theirs, fwd.improvementFactor)) continue;
 
       const std::uint64_t key = (static_cast<std::uint64_t>(item) << 44) ^
                                 (static_cast<std::uint64_t>(target) << 32) ^

@@ -12,7 +12,9 @@
 ///   - a single-copy message migrates instead of splitting.
 /// Meeting the destination always delivers.
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "net/message.hpp"
 #include "sim/time.hpp"
@@ -29,17 +31,79 @@ struct ForwardingConfig {
   std::uint32_t maxHops = 16;
 };
 
-/// Is `candidate` a strictly better carrier than `carrier` for reaching
-/// `dst`, under the shared rate estimate?
-inline bool betterCarrier(const trace::ContactRateEstimator& estimator, NodeId carrier,
-                          NodeId candidate, NodeId dst, sim::SimTime now,
-                          double improvementFactor) {
-  if (candidate == dst) return true;
-  if (carrier == dst) return false;
-  const double mine = estimator.rate(carrier, dst, now);
-  const double theirs = estimator.rate(candidate, dst, now);
+/// Does a candidate with utility `theirs` beat a carrier with utility `mine`
+/// by the improvement factor? A zero-utility candidate never does.
+inline bool improvesOn(double mine, double theirs, double improvementFactor) {
   return theirs > mine * improvementFactor && theirs > 0.0;
 }
+
+/// The forwarding utilities of one contact's two endpoints, each computed
+/// at most once per contact.
+///
+/// Every utility a contact's forwarding rounds read is a function of the
+/// shared rate estimate from endpoint a or b at the contact's time. The
+/// estimator changes only when a contact is recorded, at the contact's
+/// start, so a value computed once holds for the rest of the contact and
+/// both rounds (and both directions) reuse it. Entries carry the epoch of
+/// the contact that computed them; open() starts a new epoch, so nothing is
+/// ever cleared and no call allocates.
+class ContactUtilities {
+ public:
+  ContactUtilities() = default;
+  /// Room for destinations [0, nodes) and utility keys [0, keys).
+  ContactUtilities(std::size_t nodes, std::size_t keys) : toNode_(nodes), keyed_(keys) {}
+
+  /// Bind to the contact between `a` and `b` at `now`; every value
+  /// memoized for an earlier contact is dropped.
+  void open(const trace::ContactRateEstimator& estimator, NodeId a, NodeId b,
+            sim::SimTime now) {
+    estimator_ = &estimator;
+    a_ = a;
+    b_ = b;
+    now_ = now;
+    ++epoch_;
+  }
+
+  /// Is `candidate` a strictly better carrier than `carrier` for reaching
+  /// `dst`, under the shared rate estimate? The two are the contact's
+  /// endpoints, in either order.
+  bool betterCarrier(NodeId carrier, NodeId candidate, NodeId dst, double improvementFactor) {
+    if (candidate == dst) return true;
+    if (carrier == dst) return false;
+    const Pair& p = lookup(toNode_[dst], [&](NodeId n) { return estimator_->rate(n, dst, now_); });
+    return carrier == a_ ? improvesOn(p.fromA, p.fromB, improvementFactor)
+                         : improvesOn(p.fromB, p.fromA, improvementFactor);
+  }
+
+  /// Utility number `key` of endpoint `n`: `compute(endpoint)` runs for both
+  /// endpoints on the key's first use in this contact, later uses reuse it.
+  template <typename Compute>
+  double utility(NodeId n, std::size_t key, Compute&& compute) {
+    const Pair& p = lookup(keyed_[key], compute);
+    return n == a_ ? p.fromA : p.fromB;
+  }
+
+ private:
+  struct Pair {
+    std::uint64_t epoch = 0;  ///< contact that computed the values; 0 = never
+    double fromA = 0.0;
+    double fromB = 0.0;
+  };
+
+  template <typename Compute>
+  const Pair& lookup(Pair& p, Compute&& compute) {
+    if (p.epoch != epoch_) p = Pair{epoch_, compute(a_), compute(b_)};
+    return p;
+  }
+
+  const trace::ContactRateEstimator* estimator_ = nullptr;
+  NodeId a_ = kNoNode;
+  NodeId b_ = kNoNode;
+  sim::SimTime now_ = 0.0;
+  std::uint64_t epoch_ = 0;
+  std::vector<Pair> toNode_;  ///< by destination node
+  std::vector<Pair> keyed_;   ///< by caller-chosen utility key
+};
 
 /// Copies handed to the relay under binary spray; the carrier keeps the
 /// rest. With 1 copy left the message migrates (carrier keeps 0).

@@ -54,23 +54,22 @@ void Network::start(ContactFn onContact) {
       std::lower_bound(contacts.begin(), contacts.end(), now,
                        [](const trace::Contact& c, sim::SimTime t) { return c.start < t; }) -
       contacts.begin());
-  nextContact_ = firstContact_;
-  if (nextContact_ == contacts.size()) return;
-  // One FIFO rank per remaining contact, claimed here: the cursor event for
-  // contact i fires with rank seqBase_ + (i - firstContact_), i.e. exactly
-  // where the old eager fan-out would have placed it, while keeping a
-  // single event pending instead of the whole trace.
-  seqBase_ = simulator_.reserveSequences(contacts.size() - nextContact_);
+  const std::size_t count = contacts.size() - firstContact_;
+  if (count == 0) return;
+  // One FIFO rank per remaining contact, claimed here: contact i fires with
+  // rank seqBase_ + (i - firstContact_), exactly where the old eager
+  // fan-out would have placed it, without any contact entering the heap.
+  seqBase_ = simulator_.reserveSequences(count);
   if (sharded_) {
-    // No cursor event: the shard driver pulls contacts by index. Plain mode
-    // would schedule the cursor exactly here — the pending bias takes its
-    // place so peak-pending tracking stays byte-identical (the driver drops
-    // the bias when the last contact is processed, where plain mode's final
-    // cursor pop would occur).
+    // No stream: the shard driver pulls contacts by index. Plain mode counts
+    // the stream as one pending event from here on — the pending bias takes
+    // its place so peak-pending tracking stays byte-identical (the driver
+    // drops the bias when the last contact is processed, where plain mode's
+    // stream runs dry).
     simulator_.setPendingBias(1);
     return;
   }
-  scheduleNextContact();
+  simulator_.attachStream(*this, count, seqBase_);
 }
 
 void Network::setShardedDelivery(bool on) {
@@ -135,16 +134,8 @@ void Network::exitShardMode() {
   lossLost_.clear();
 }
 
-void Network::scheduleNextContact() {
-  const trace::Contact& c = trace_.contacts()[nextContact_];
-  simulator_.scheduleAtSequence(c.start, seqBase_ + (nextContact_ - firstContact_),
-                                [this](sim::SimTime t) { deliverContact(t); });
-}
-
-void Network::deliverContact(sim::SimTime t) {
-  const trace::Contact& c = trace_.contacts()[nextContact_];
-  ++nextContact_;
-  if (nextContact_ < trace_.contacts().size()) scheduleNextContact();
+void Network::deliverContact(std::size_t index, sim::SimTime t) {
+  const trace::Contact& c = trace_.contacts()[index];
   if (energy_ != nullptr) energy_->advanceTo(t);
   if (config_.contactLossRate > 0.0 && lossRng_.bernoulli(config_.contactLossRate)) {
     ++contactsLost_;

@@ -155,18 +155,18 @@ struct NetworkConfig {
   std::uint64_t lossSeed = 12345;
 };
 
-class Network {
+class Network : private sim::EventStream {
  public:
   Network(sim::Simulator& simulator, const trace::ContactTrace& trace,
           NetworkConfig config = {});
 
-  /// Install the protocol callback and start streaming the trace: a single
-  /// self-rescheduling cursor event walks the time-sorted contact vector,
-  /// so the pending-event set holds one contact at a time instead of the
-  /// whole trace (O(active timers), not O(#contacts)). FIFO ranks for all
-  /// contacts are reserved upfront, so delivery interleaves with
-  /// simultaneous events exactly as the eager per-contact fan-out did.
-  /// Must be called exactly once, before the simulator runs.
+  /// Install the protocol callback and start streaming the trace: the
+  /// time-sorted contact vector attaches to the simulator as an
+  /// sim::EventStream, merged against the queue head, so no contact ever
+  /// enters the pending-event set (O(active timers), not O(#contacts)).
+  /// FIFO ranks for all contacts are reserved upfront, so delivery
+  /// interleaves with simultaneous events exactly as the eager per-contact
+  /// fan-out did. Must be called exactly once, before the simulator runs.
   void start(ContactFn onContact);
 
   /// Gate contacts (churn: a powered-off endpoint suppresses the contact).
@@ -198,9 +198,9 @@ class Network {
 
   /// Route contacts through the sharded kernel: start() still computes the
   /// warm-up skip and reserves every contact's FIFO rank (identical sequence
-  /// evolution), but schedules no cursor event — the driver pulls contacts
-  /// by index via deliverSharded(). The one pending cursor slot plain mode
-  /// would occupy is accounted through the simulator's pending bias so the
+  /// evolution), but attaches no stream — the driver pulls contacts by
+  /// index via deliverSharded(). The one pending slot the stream occupies
+  /// in plain mode is accounted through the simulator's pending bias so the
   /// peak-pending statistic stays byte-identical. Call before start().
   void setShardedDelivery(bool on);
 
@@ -212,8 +212,8 @@ class Network {
 
   /// Deliver contact `index` on the calling context (sim::tlsShard selects
   /// the transfer log and tracer sink). Same admission pipeline as plain
-  /// delivery minus the cursor walk; requires enterShardMode and no energy
-  /// model (the driver falls back to plain delivery for energy runs).
+  /// delivery; requires enterShardMode and no energy model (the driver
+  /// falls back to plain delivery for energy runs).
   void deliverSharded(std::size_t index);
 
   /// Fold per-context logs and counts back; call after workers joined.
@@ -224,8 +224,13 @@ class Network {
   const trace::ContactTrace& trace() const { return trace_; }
 
  private:
-  void scheduleNextContact();
-  void deliverContact(sim::SimTime t);
+  // sim::EventStream: stream event k is contact firstContact_ + k.
+  sim::SimTime timeAt(std::size_t k) const override {
+    return trace_.contacts()[firstContact_ + k].start;
+  }
+  void fire(std::size_t k, sim::SimTime t) override { deliverContact(firstContact_ + k, t); }
+
+  void deliverContact(std::size_t index, sim::SimTime t);
 
   sim::Simulator& simulator_;
   const trace::ContactTrace& trace_;
@@ -243,7 +248,6 @@ class Network {
   std::size_t contactsSuppressed_ = 0;
   std::size_t contactsLost_ = 0;
   bool started_ = false;
-  std::size_t nextContact_ = 0;   ///< cursor into the sorted contact vector
   std::size_t firstContact_ = 0;  ///< first non-warm-up contact at start()
   sim::EventQueue::Sequence seqBase_ = 0;  ///< FIFO rank of firstContact_
 

@@ -267,7 +267,7 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
   ExperimentOutput out;
   out.scheme = scheme->name();
   out.results = collector.finalize(horizon, network.transfers());
-  out.traceStats = world.trace.stats();
+  out.traceStats = world.stats;
 
   if (hierarchical != nullptr) {
     double sumP = 0.0;

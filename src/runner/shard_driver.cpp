@@ -304,7 +304,7 @@ ShardStats runSharded(sim::Simulator& sim, net::Network& network,
 
     if (!biasCleared && scan == end && end == contacts.size()) {
       // The last trace contact is handed off or executed: plain mode's
-      // cursor pops here, so the phantom pending slot goes with it. Contact
+      // stream runs dry here, so the phantom pending slot goes with it. Contact
       // callbacks schedule nothing, so the hand-off-to-execution gap cannot
       // move any high-water check.
       sim.setPendingBias(0);

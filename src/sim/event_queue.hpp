@@ -62,16 +62,34 @@ class EventQueue {
  public:
   /// FIFO rank among simultaneous events. Assigned internally by
   /// schedule(); reserveSequences() hands out a contiguous block so a
-  /// streaming producer (net::Network's contact cursor) can schedule events
-  /// lazily that still fire exactly as if they had all been scheduled at
-  /// reservation time.
+  /// streaming producer (net::Network's contact stream, which
+  /// Simulator merges against this queue) keeps ranks for events that never
+  /// enter the queue, and they fire exactly as if they had all been
+  /// scheduled at reservation time.
   using Sequence = std::uint64_t;
 
   /// Insert an event at absolute time `at`. Returns an id usable with
   /// cancel(). `at` may equal the time of the most recently popped event
   /// (zero-delay follow-ups) but must never be earlier.
   EventId schedule(SimTime at, EventFn fn, EventScope scope = EventScope::kFence) {
-    return scheduleImpl(at, nextSeq_++, std::move(fn), scope);
+    DTNCACHE_CHECK_MSG(at >= lastPopped_, "event scheduled in the past: at="
+                                              << at << " now=" << lastPopped_);
+    DTNCACHE_CHECK(static_cast<bool>(fn));
+    std::uint32_t slot;
+    if (!freeSlots_.empty()) {
+      slot = freeSlots_.back();
+      freeSlots_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    slots_[slot].fn = std::move(fn);
+    slots_[slot].scope = scope;
+    const EventId id = makeId(slot, slots_[slot].generation);
+    heap_.push(HeapEntry{at, nextSeq_++, id});
+    ++live_;
+    if (live_ + peakBias_ > peakSize_) peakSize_ = live_ + peakBias_;
+    return id;
   }
 
   /// Claim the next `n` FIFO ranks without scheduling anything.
@@ -79,13 +97,6 @@ class EventQueue {
     const Sequence first = nextSeq_;
     nextSeq_ += n;
     return first;
-  }
-
-  /// Schedule with a previously reserved FIFO rank.
-  EventId scheduleAtSequence(SimTime at, Sequence seq, EventFn fn,
-                             EventScope scope = EventScope::kFence) {
-    DTNCACHE_CHECK_MSG(seq < nextSeq_, "sequence " << seq << " was never reserved");
-    return scheduleImpl(at, seq, std::move(fn), scope);
   }
 
   /// Cancel a pending event: O(1) — frees the slot and bumps its
@@ -199,27 +210,6 @@ class EventQueue {
   static std::uint32_t slotOf(EventId id) { return static_cast<std::uint32_t>(id) - 1; }
   static std::uint32_t generationOf(EventId id) {
     return static_cast<std::uint32_t>(id >> 32);
-  }
-
-  EventId scheduleImpl(SimTime at, Sequence seq, EventCallback fn, EventScope scope) {
-    DTNCACHE_CHECK_MSG(at >= lastPopped_, "event scheduled in the past: at="
-                                              << at << " now=" << lastPopped_);
-    DTNCACHE_CHECK(static_cast<bool>(fn));
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-      slot = freeSlots_.back();
-      freeSlots_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    slots_[slot].fn = std::move(fn);
-    slots_[slot].scope = scope;
-    const EventId id = makeId(slot, slots_[slot].generation);
-    heap_.push(HeapEntry{at, seq, id});
-    ++live_;
-    if (live_ + peakBias_ > peakSize_) peakSize_ = live_ + peakBias_;
-    return id;
   }
 
   void freeSlot(std::uint32_t slot) {

@@ -7,9 +7,15 @@
 /// callbacks at absolute times or relative delays; run()/runUntil() drive
 /// the event loop. Periodic activities (source refresh, maintenance timers,
 /// metric sampling) are expressed with schedulePeriodic(), which re-arms
-/// itself until cancelled.
+/// itself until cancelled. A time-sorted producer that knows all its events
+/// upfront (net::Network's contact trace) attaches as an EventStream instead:
+/// the loop takes each next event from whichever of the queue head and the
+/// stream head has the smaller (time, FIFO rank) key, so stream events never
+/// enter the heap.
 
+#include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +24,19 @@
 #include "sim/time.hpp"
 
 namespace dtncache::sim {
+
+/// A pre-sorted event source merged into the simulator's event order (see
+/// Simulator::attachStream). Events are numbered 0..count-1.
+class EventStream {
+ public:
+  /// Time of event `k`; non-decreasing in k.
+  virtual SimTime timeAt(std::size_t k) const = 0;
+  /// Deliver event `k`. The clock already reads its time `t`.
+  virtual void fire(std::size_t k, SimTime t) = 0;
+
+ protected:
+  ~EventStream() = default;
+};
 
 class Simulator {
  public:
@@ -38,19 +57,13 @@ class Simulator {
     return queue_.schedule(now_ + delay, std::move(fn), scope);
   }
 
-  /// Claim `n` consecutive FIFO ranks for later scheduleAtSequence calls.
-  /// A streaming producer (net::Network's contact cursor) reserves one rank
-  /// per future event upfront; events it then schedules lazily interleave
-  /// with simultaneous events exactly as if all had been scheduled at
-  /// reservation time. See docs/performance.md.
+  /// Claim `n` consecutive FIFO ranks for a later attachStream. A streaming
+  /// producer (net::Network's contact trace) reserves one rank per future
+  /// event upfront; its events then interleave with simultaneous events
+  /// exactly as if all had been scheduled at reservation time. See
+  /// docs/performance.md.
   EventQueue::Sequence reserveSequences(std::size_t n) {
     return queue_.reserveSequences(n);
-  }
-
-  /// Schedule `fn` at `at` (>= now()) with a reserved FIFO rank.
-  EventId scheduleAtSequence(SimTime at, EventQueue::Sequence seq, EventFn fn) {
-    DTNCACHE_CHECK_MSG(at >= now_, "scheduleAtSequence in the past: " << at << " < " << now_);
-    return queue_.scheduleAtSequence(at, seq, std::move(fn));
   }
 
   /// Schedule `fn` to fire every `period` seconds. The first firing is at
@@ -83,32 +96,43 @@ class Simulator {
     }
   }
 
+  /// Merge `count` events of `stream` into the event order without
+  /// scheduling them: event k fires at stream.timeAt(k) with FIFO rank
+  /// `firstSeq + k`, ranks the caller claimed with reserveSequences. A
+  /// non-empty stream counts as one pending event (pendingEvents and
+  /// peakPendingEvents), and each fired stream event as one processed
+  /// event. At most one stream per simulator; `stream` must outlive the
+  /// run.
+  void attachStream(EventStream& stream, std::size_t count, EventQueue::Sequence firstSeq) {
+    DTNCACHE_CHECK_MSG(stream_ == nullptr, "a stream is already attached");
+    if (count == 0) return;
+    stream_ = &stream;
+    streamNext_ = 0;
+    streamEnd_ = count;
+    streamSeq_ = firstSeq;
+    streamTime_ = stream.timeAt(0);
+    DTNCACHE_CHECK_MSG(streamTime_ >= now_, "stream starts in the past: " << streamTime_);
+    queue_.setPeakBias(1);
+  }
+
   /// Run until the event set is exhausted.
   void run() {
-    while (!queue_.empty() && !stopped_) {
-      // Advance the clock before firing, so now() is correct inside the
-      // callback (scheduleAfter from a handler must measure from the
-      // handler's own firing time).
-      now_ = queue_.peekTime();
-      queue_.runNext();
+    while (!stopped_ && fireNext(std::numeric_limits<SimTime>::infinity())) {
     }
   }
 
   /// Run events with time <= `until`, then advance the clock to `until`.
   void runUntil(SimTime until) {
     DTNCACHE_CHECK(until >= now_);
-    while (!stopped_) {
-      const SimTime t = queue_.peekTime();
-      if (t == kNever || t > until) break;
-      now_ = t;
-      queue_.runNext();
+    while (!stopped_ && fireNext(until)) {
     }
     if (!stopped_) now_ = until;
   }
 
-  /// (time, sequence) key of the earliest pending event, or false when the
-  /// queue is empty. The sharded runner uses this to choose each merge
-  /// barrier's bound without popping anything.
+  /// (time, sequence) key of the earliest queued event, or false when the
+  /// queue is empty. The sharded runner (which attaches no stream: it pulls
+  /// contacts itself) uses this to choose each merge barrier's bound
+  /// without popping anything.
   bool peekNextKey(SimTime& t, EventQueue::Sequence& seq) { return queue_.peekKey(t, seq); }
 
   /// peekNextKey plus the head event's scope, so the sharded runner knows
@@ -136,32 +160,72 @@ class Simulator {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  std::size_t pendingEvents() const { return queue_.size(); }
+  /// Queued events, plus one while an attached stream has events left.
+  std::size_t pendingEvents() const { return queue_.size() + (streamLive() ? 1 : 0); }
 
-  /// Count `n` phantom pending events in peak tracking. The sharded runner
-  /// delivers contacts outside the queue; plain mode keeps one cursor event
-  /// pending while contacts remain, and this bias stands in for it so
-  /// peakPendingEvents() is byte-identical across kernels. Scheduling a real
-  /// dummy event instead would burn a sequence number and reorder
-  /// simultaneous events — the bias must stay out of the FIFO rank space.
+  /// Count `n` phantom pending events in peak tracking. Both kernels deliver
+  /// contacts outside the queue and count the contact stream as one pending
+  /// event while contacts remain: attachStream sets this bias for the plain
+  /// kernel, the sharded runner sets it itself, so peakPendingEvents() is
+  /// byte-identical across kernels. Scheduling a real dummy event instead
+  /// would burn a sequence number and reorder simultaneous events — the
+  /// bias must stay out of the FIFO rank space.
   void setPendingBias(std::size_t n) { queue_.setPeakBias(n); }
 
   /// High-water mark of the pending-event set over the simulator's lifetime
   /// — the kernel's memory footprint driver (see docs/performance.md).
   std::size_t peakPendingEvents() const { return queue_.peakSize(); }
 
-  /// Total events fired so far (throughput denominator for benchmarks).
-  std::uint64_t eventsProcessed() const { return queue_.processed(); }
+  /// Total events fired so far, stream events included (throughput
+  /// denominator for benchmarks).
+  std::uint64_t eventsProcessed() const { return queue_.processed() + streamFired_; }
 
-  /// Drop all pending events and reset the stop flag; the clock is kept
-  /// (a simulator's clock never moves backwards).
+  /// Drop all pending events (and the rest of an attached stream) and reset
+  /// the stop flag; the clock is kept (a simulator's clock never moves
+  /// backwards).
   void clearPending() {
     queue_.clear();
     periodic_.clear();
+    if (stream_ != nullptr) {
+      streamNext_ = streamEnd_;
+      queue_.setPeakBias(0);
+    }
     stopped_ = false;
   }
 
  private:
+  bool streamLive() const { return streamNext_ < streamEnd_; }
+
+  /// Fire the earliest pending event if its time is <= `until`: the stream
+  /// head when its (time, rank) key is below the queue head's, else the
+  /// queue head. Returns false when no event is due. The clock advances
+  /// before the callback runs, so now() is correct inside it (scheduleAfter
+  /// from a handler measures from the handler's own firing time).
+  bool fireNext(SimTime until) {
+    SimTime qt = 0.0;
+    EventQueue::Sequence qs = 0;
+    const bool haveQ = queue_.peekKey(qt, qs);
+    if (streamLive() &&
+        (!haveQ || streamTime_ < qt || (streamTime_ == qt && streamSeq_ < qs))) {
+      if (streamTime_ > until) return false;
+      const std::size_t k = streamNext_++;
+      now_ = streamTime_;
+      ++streamSeq_;
+      ++streamFired_;
+      if (streamLive()) {
+        streamTime_ = stream_->timeAt(streamNext_);
+      } else {
+        queue_.setPeakBias(0);  // the last event takes the stream's pending slot
+      }
+      stream_->fire(k, now_);
+      return true;
+    }
+    if (!haveQ || qt > until) return false;
+    now_ = qt;
+    queue_.runNext();
+    return true;
+  }
+
   struct PeriodicSeries {
     EventFn fn;
     EventId armed = 0;  ///< the currently scheduled instance
@@ -189,6 +253,13 @@ class Simulator {
   // collide with EventQueue ids (which stay below 2^62).
   EventId nextSeriesId_ = (EventId{1} << 62) + 1;
   std::unordered_map<EventId, std::shared_ptr<PeriodicSeries>> periodic_;
+
+  EventStream* stream_ = nullptr;
+  std::size_t streamNext_ = 0;  ///< index of the stream head
+  std::size_t streamEnd_ = 0;
+  SimTime streamTime_ = 0.0;    ///< time of the stream head
+  EventQueue::Sequence streamSeq_ = 0;  ///< FIFO rank of the stream head
+  std::uint64_t streamFired_ = 0;
 };
 
 }  // namespace dtncache::sim

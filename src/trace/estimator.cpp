@@ -86,11 +86,8 @@ double ContactRateEstimator::rateOf(std::uint32_t idx, sim::SimTime now) const {
   if (s->totalCount == 0) return config_.priorRate;
 
   switch (config_.mode) {
-    case EstimatorMode::kCumulative: {
-      const double elapsed = now - startTime_;
-      if (elapsed <= 0.0) return config_.priorRate;
-      return static_cast<double>(s->totalCount) / elapsed;
-    }
+    case EstimatorMode::kCumulative:
+      return cumulativeRate(s->totalCount, now);
     case EstimatorMode::kSlidingWindow: {
       // Count contacts inside the window ending at `now`; the row is
       // pruned relative to the *recording* times, so prune again here.
@@ -109,19 +106,12 @@ double ContactRateEstimator::rateOf(std::uint32_t idx, sim::SimTime now) const {
     case EstimatorMode::kEwma: {
       if (s->ewmaInterval <= 0.0) {
         // Only one contact so far: fall back to the cumulative estimate.
-        const double elapsed = now - startTime_;
-        return elapsed > 0.0 ? static_cast<double>(s->totalCount) / elapsed
-                             : config_.priorRate;
+        return cumulativeRate(s->totalCount, now);
       }
       return 1.0 / s->ewmaInterval;
     }
   }
   return config_.priorRate;
-}
-
-double ContactRateEstimator::rate(NodeId i, NodeId j, sim::SimTime now) const {
-  if (i == j) return 0.0;
-  return rateOf(index_.find(i, j), now);
 }
 
 double ContactRateEstimator::meetingProbability(NodeId i, NodeId j, sim::SimTime window,

@@ -72,8 +72,16 @@ class ContactRateEstimator {
   /// Feed one observed contact (call at its start time).
   void recordContact(NodeId a, NodeId b, sim::SimTime t);
 
-  /// Current estimate of λ_ij given observations up to `now`.
-  double rate(NodeId i, NodeId j, sim::SimTime now) const;
+  /// Current estimate of λ_ij given observations up to `now`. The contact
+  /// path probes it for every forwarding decision, so the default
+  /// cumulative mode is answered inline; the other modes go out of line.
+  double rate(NodeId i, NodeId j, sim::SimTime now) const {
+    if (i == j) return 0.0;
+    const std::uint32_t idx = index_.find(i, j);
+    if (config_.mode != EstimatorMode::kCumulative) return rateOf(idx, now);
+    if (idx == PairIndex::kNoSlot || pairs_[idx].totalCount == 0) return config_.priorRate;
+    return cumulativeRate(pairs_[idx].totalCount, now);
+  }
 
   /// P(i meets j within `window` of `now`) under the current estimate.
   double meetingProbability(NodeId i, NodeId j, sim::SimTime window,
@@ -161,6 +169,12 @@ class ContactRateEstimator {
 
   /// Estimate for a pair slot (PairIndex::kNoSlot reads as priorRate).
   double rateOf(std::uint32_t idx, sim::SimTime now) const;
+
+  /// count / elapsed since the estimator's start, priorRate before it.
+  double cumulativeRate(std::size_t count, sim::SimTime now) const {
+    const double elapsed = now - startTime_;
+    return elapsed > 0.0 ? static_cast<double>(count) / elapsed : config_.priorRate;
+  }
 
   /// Evaluate rates for every pair in batchIdx_ into batchVal_, using the
   /// gathered contiguous columns (batchCount_/batchEwma_) so the per-mode

@@ -90,6 +90,10 @@ struct SyntheticTrace {
   RateMatrix rates;
   /// Community assignment of each node (empty unless kCommunity).
   std::vector<std::size_t> community;
+  /// trace.stats(), computed once by the shared builders (generateShared,
+  /// externalShared) so runs replaying a memoized trace do not recount it;
+  /// left default by generate().
+  TraceStats stats;
 };
 
 /// Generate a trace from the config. Deterministic in config.seed.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace dtncache::trace {
@@ -65,7 +66,9 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   // serialized behind one another's generation. Two workers racing on the
   // same config may both generate; the results are identical, so the
   // duplicate insert below is harmless (the loser's copy is dropped).
-  auto fresh = std::make_shared<const SyntheticTrace>(generate(config));
+  SyntheticTrace built = generate(config);
+  built.stats = built.trace.stats();
+  auto fresh = std::make_shared<const SyntheticTrace>(std::move(built));
 
   std::lock_guard<std::mutex> lock(c.mu);
   for (Entry& e : c.entries) {
@@ -178,6 +181,7 @@ std::shared_ptr<const SyntheticTrace> externalShared(const ContactTrace& trace) 
   auto fresh = std::make_shared<SyntheticTrace>();
   fresh->trace = trace;
   fresh->rates = RateMatrix::fitFromTrace(fresh->trace);
+  fresh->stats = fresh->trace.stats();
   std::shared_ptr<const SyntheticTrace> result = std::move(fresh);
 
   std::lock_guard<std::mutex> lock(c.mu);

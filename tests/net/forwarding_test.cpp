@@ -15,6 +15,14 @@ trace::ContactRateEstimator makeEstimator() {
   return e;
 }
 
+/// betterCarrier through a memo opened for the contact (carrier, candidate).
+bool betterCarrier(const trace::ContactRateEstimator& e, NodeId carrier, NodeId candidate,
+                   NodeId dst, sim::SimTime now, double factor) {
+  ContactUtilities memo(e.nodeCount(), 0);
+  memo.open(e, carrier, candidate, now);
+  return memo.betterCarrier(carrier, candidate, dst, factor);
+}
+
 TEST(Forwarding, DestinationIsAlwaysBetter) {
   const auto e = makeEstimator();
   EXPECT_TRUE(betterCarrier(e, 0, 3, 3, 100.0, 1.2));
@@ -47,6 +55,37 @@ TEST(Forwarding, ZeroUtilityCandidateRejected) {
   const auto e = makeEstimator();
   // Node 2 has never met node 3.
   EXPECT_FALSE(betterCarrier(e, 0, 2, 3, 100.0, 1.2));
+}
+
+TEST(Forwarding, MemoServesBothDirectionsOfOneContact) {
+  const auto e = makeEstimator();
+  ContactUtilities memo(e.nodeCount(), 1);
+  memo.open(e, 0, 1, 100.0);
+  EXPECT_TRUE(memo.betterCarrier(0, 1, 3, 1.2));
+  EXPECT_FALSE(memo.betterCarrier(1, 0, 3, 1.2));
+  int computed = 0;
+  const auto toThree = [&](NodeId n) {
+    ++computed;
+    return e.rate(n, 3, 100.0);
+  };
+  EXPECT_EQ(memo.utility(0, 0, toThree), e.rate(0, 3, 100.0));
+  EXPECT_EQ(memo.utility(1, 0, toThree), e.rate(1, 3, 100.0));
+  EXPECT_EQ(memo.utility(0, 0, toThree), e.rate(0, 3, 100.0));
+  EXPECT_EQ(computed, 2);  // once per endpoint, on the key's first use
+}
+
+TEST(Forwarding, MemoIsDroppedAtTheNextContact) {
+  trace::EstimatorConfig cfg;
+  cfg.mode = trace::EstimatorMode::kCumulative;
+  trace::ContactRateEstimator e(4, cfg, 0.0);
+  e.recordContact(0, 3, 10.0);
+  for (int i = 0; i < 3; ++i) e.recordContact(1, 3, 10.0 * i);
+  ContactUtilities memo(e.nodeCount(), 0);
+  memo.open(e, 0, 1, 100.0);
+  EXPECT_TRUE(memo.betterCarrier(0, 1, 3, 1.2));  // 3 contacts vs 1
+  for (int i = 0; i < 5; ++i) e.recordContact(0, 3, 101.0 + i);
+  memo.open(e, 0, 1, 110.0);  // a new contact re-reads the estimator
+  EXPECT_FALSE(memo.betterCarrier(0, 1, 3, 1.2));  // now 3 vs 6
 }
 
 TEST(Forwarding, SprayShareIsBinary) {

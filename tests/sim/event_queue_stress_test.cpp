@@ -134,15 +134,21 @@ TEST(EventQueueStress, CancelOfPoppedIdIsNoop) {
 
 TEST(EventQueueStress, ReservedSequencesInterleaveAheadOfLaterSchedules) {
   // A block of sequence numbers reserved up front outranks events scheduled
-  // afterwards at the same time — the mechanism the contact cursor uses to
+  // afterwards at the same time — the mechanism the contact stream uses to
   // stay byte-identical with the old eager fan-out.
-  EventQueue queue;
+  struct TwoAtFive : EventStream {
+    std::vector<int>* order = nullptr;
+    SimTime timeAt(std::size_t) const override { return 5.0; }
+    void fire(std::size_t k, SimTime) override { order->push_back(static_cast<int>(k) + 1); }
+  };
+  Simulator s;
   std::vector<int> order;
-  const auto base = queue.reserveSequences(2);
-  queue.schedule(5.0, [&](SimTime) { order.push_back(3); });  // scheduled first...
-  queue.scheduleAtSequence(5.0, base + 0, [&](SimTime) { order.push_back(1); });
-  queue.scheduleAtSequence(5.0, base + 1, [&](SimTime) { order.push_back(2); });
-  while (!queue.empty()) queue.runNext();
+  TwoAtFive stream;
+  stream.order = &order;
+  const auto base = s.reserveSequences(2);
+  s.scheduleAt(5.0, [&](SimTime) { order.push_back(3); });  // scheduled first...
+  s.attachStream(stream, 2, base);
+  s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));  // ...but fires last
 }
 
