@@ -19,7 +19,6 @@
 #include "runner/args.hpp"
 #include "runner/experiment.hpp"
 #include "sweep/sweep_engine.hpp"
-#include "trace/mobility.hpp"
 
 namespace dtncache::bench {
 
@@ -58,26 +57,6 @@ inline runner::ExperimentConfig infocomConfig(std::uint64_t seed = 1) {
   c.workload.queriesPerNodePerDay = 2.0;
   c.workload.queryDeadline = sim::hours(3);
   c.cache.cachingNodesPerItem = 8;
-  c.seed = seed;
-  return c;
-}
-
-/// Large-N scaling scenario: streamed sparse mobility (trace/mobility.hpp)
-/// with the experiment knobs sized so the run is bounded by the sparse data
-/// structures, not the catalog. The node count is the whole point — pass
-/// 50'000+ to exercise the sparse pair-state backend end to end (see
-/// docs/scaling.md for the cost model).
-inline runner::ExperimentConfig mobilityExperimentConfig(std::size_t nodes,
-                                                         std::uint64_t seed = 1) {
-  runner::ExperimentConfig c;
-  c.trace = trace::mobilityConfig(nodes, seed);
-  c.trace.duration = sim::days(2);
-  c.catalog.itemCount = 10;
-  c.catalog.refreshPeriod = sim::hours(12);
-  c.workload.queriesPerNodePerDay = 0.2;
-  c.workload.queryDeadline = sim::hours(12);
-  c.cache.cachingNodesPerItem = 8;
-  c.estimatorWarmup = sim::days(2);
   c.seed = seed;
   return c;
 }

@@ -281,6 +281,7 @@ void HierarchicalRefreshScheme::maintainItem(cache::CooperativeCache& cache,
   ReplicationPlan cachedCopy;
   const bool verify = fullMaintenance_ && hit != nullptr;
   if (verify) cachedCopy = *hit;  // `hit` dangles once replan restores
+  ++recomputedItems_;
   switch (config_.maintenance) {
     case MaintenanceMode::kRebuild:
       rebuildItem(cache, item, t);

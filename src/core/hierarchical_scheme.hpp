@@ -152,6 +152,12 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::size_t planCacheHits() const { return planCacheHits_; }
   /// (item, tick) maintenance evaluations skipped outright.
   std::size_t itemsSkipped() const { return skippedItems_; }
+  /// (item, tick) maintenance evaluations that recomputed the item through
+  /// rebuildItem/localRepairItem. Not a registry counter on purpose: it
+  /// differs under the full-recompute escape hatch (every evaluation
+  /// recomputes there), and result sinks must stay byte-identical between
+  /// the two paths.
+  std::size_t itemsRecomputed() const { return recomputedItems_; }
   /// Whether the full-recompute escape hatch is active (config or env var).
   bool fullMaintenanceActive() const { return fullMaintenance_; }
 
@@ -230,6 +236,7 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::size_t churnRepairs_ = 0;
   std::size_t planCacheHits_ = 0;
   std::size_t skippedItems_ = 0;
+  std::size_t recomputedItems_ = 0;
   std::function<bool(NodeId)> live_;
   std::function<double(NodeId)> nodeWeight_;
 

@@ -139,8 +139,8 @@ struct ExperimentOutput {
   double minRemainingBattery = 0.0;
 
   // Simulation-kernel health (perf trajectory, not protocol results —
-  // deterministic, but excluded from result-sink columns; see
-  // docs/performance.md and bench/bench_kernel.cpp).
+  // deterministic, but excluded from result-sink columns; pinned exactly by
+  // tests/runner/golden_counts_test.cpp, see docs/performance.md).
   std::size_t peakPendingEvents = 0;
   std::uint64_t eventsProcessed = 0;
 

@@ -3,8 +3,8 @@
 /// \file event_queue.hpp
 /// Pending-event set for the discrete-event engine.
 ///
-/// Two-level structure tuned for throughput (measured in bench_kernel; see
-/// docs/performance.md):
+/// Two-level structure tuned for throughput (measured by bench_micro's
+/// BM_EventQueueThroughput; see docs/performance.md):
 ///
 ///   - a binary heap of 24-byte POD entries (time, sequence, id). The
 ///     sequence number makes simultaneous events fire FIFO in scheduling

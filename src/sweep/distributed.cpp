@@ -89,6 +89,7 @@ SpoolReport runSpoolWorker(const SpoolWorkerOptions& options) {
     // Re-scan each pass: other workers complete units concurrently, and the
     // scan also drops any torn or bit-flipped fragment so its unit runs again.
     const auto scanned = store.scan(sweepFp, /*dropInvalid=*/true);
+    ++report.scans;
     if (scanned.valid.size() >= units.size()) {
       report.allDone = true;
       return report;

@@ -49,6 +49,7 @@ struct SpoolWorkerOptions {
 struct SpoolReport {
   std::size_t completed = 0;
   bool allDone = false;  ///< every unit had a fragment when we left
+  std::size_t scans = 0;  ///< store scans made (one per pass of the lease loop)
 };
 
 /// Lease-loop over `<store>/lease-*` files: pick an unleased incomplete

@@ -239,7 +239,10 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
     // default, so skipping them changes no value, stat, or changedNodes.
     for (NodeId i = 0; i < nodeCount_; ++i)
       index_.forEachNeighbor(i, [&](NodeId j, std::uint32_t idx) {
-        if (j > i && pairs_[idx].totalCount > 0) updatePair(i, j, rateOf(idx, now));
+        if (j > i && pairs_[idx].totalCount > 0) {
+          ++pairsEvaluated_;
+          updatePair(i, j, rateOf(idx, now));
+        }
       });
   } else {
     // Data-oriented incremental pass. Gather (key, slot) for the dirty
@@ -263,6 +266,7 @@ SnapshotStats ContactRateEstimator::snapshotInto(RateMatrix& out, sim::SimTime n
       }
     }
     stats.dirtyPairs = batchKeys_.size();
+    pairsEvaluated_ += batchKeys_.size();
     evaluateBatch(now);
     for (std::size_t k = 0; k < batchKeys_.size(); ++k)
       updatePair(core::pairHigh(batchKeys_[k]), core::pairLow(batchKeys_[k]), batchVal_[k]);

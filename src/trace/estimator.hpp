@@ -125,6 +125,13 @@ class ContactRateEstimator {
   /// Pairs with at least one observed contact.
   std::size_t observedPairCount() const;
 
+  /// Pair estimates snapshotInto has recomputed over this estimator's
+  /// lifetime: the dirty + time-varying batch on an incremental pass, every
+  /// observed pair on a full or forced rewrite. SnapshotStats::dirtyPairs
+  /// reports a forced rewrite as the incremental count (so counters match
+  /// under the escape hatch); this is the work actually done.
+  std::size_t pairsEvaluated() const { return pairsEvaluated_; }
+
   std::size_t nodeCount() const { return nodeCount_; }
   bool isSparse() const { return index_.isSparse(); }
   const EstimatorConfig& config() const { return config_; }
@@ -217,6 +224,7 @@ class ContactRateEstimator {
   std::vector<std::uint64_t> varyingKeys_;
   core::DenseBitset changedRowBits_;  ///< per-snapshot scratch, node ids
   bool snapshotPrimed_ = false;
+  std::size_t pairsEvaluated_ = 0;
 
   /// snapshotInto's data-oriented scratch: the incremental pass gathers
   /// (key, slot) for the dirty + time-varying lists once, lifts the fields

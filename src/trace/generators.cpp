@@ -72,6 +72,11 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
           w = rateRng.paretoTruncated(1.0, config.paretoShape, config.rateSpread);
           if (out.community[i] == out.community[j]) w *= config.intraCommunityBoost;
           break;
+        case RateModel::kMobilityCommunity:
+        case RateModel::kMobilityPowerLaw:
+          // Routed to SyntheticMobility at the top of generate().
+          DTNCACHE_CHECK_MSG(false, "mobility models never reach the dense generator");
+          break;
       }
       weights.push_back(w);
     }

@@ -203,7 +203,9 @@ TEST(SourceDirect, NeverUsesNonSourceSenders) {
   const auto& perNode = r.transfers.perNodeRefreshBytes();
   for (NodeId n = 0; n < perNode.size(); ++n) {
     const bool isSource = std::find(sources.begin(), sources.end(), n) != sources.end();
-    if (!isSource) EXPECT_EQ(perNode[n], 0u) << "non-source node " << n << " sent refreshes";
+    if (!isSource) {
+      EXPECT_EQ(perNode[n], 0u) << "non-source node " << n << " sent refreshes";
+    }
   }
 }
 

@@ -16,8 +16,16 @@
 #include <utility>
 #include <vector>
 
+#include "cache/coop_cache.hpp"
+#include "core/hierarchical_scheme.hpp"
+#include "data/source.hpp"
+#include "metrics/collector.hpp"
+#include "net/network.hpp"
 #include "obs/tracer.hpp"
 #include "runner/experiment.hpp"
+#include "sim/simulator.hpp"
+#include "trace/estimator.hpp"
+#include "trace/generators.hpp"
 
 namespace dtncache::runner {
 namespace {
@@ -180,6 +188,80 @@ TEST(IncrementalMaintenance, MatchesFullRecomputeAcrossSeeds) {
     cfg.seed = seed;
     expectIdentical(runPaired(cfg));
   }
+}
+
+/// Work counts of one maintenance-dominated run of the scheme stack.
+struct TickWork {
+  std::size_t runs = 0;
+  std::size_t skipped = 0;
+  std::size_t cacheHits = 0;
+  std::size_t recomputed = 0;
+};
+
+/// A sparse 56-node trace under a warm EWMA estimator with 10-minute ticks
+/// over 16 items: most (item, tick) evaluations have unchanged inputs, so
+/// the incremental engine should replay them instead of recomputing.
+TickWork runMaintenanceTicks(bool fullMaintenance) {
+  const NodeId nodes = 56;
+  const sim::SimTime duration = sim::days(5);
+  const trace::SyntheticTrace world =
+      trace::generate(trace::homogeneousConfig(nodes, 0.05, duration, 21));
+  // Dense pre-history fed at negative times, so every pair is EWMA-stable
+  // before the run starts.
+  const trace::SyntheticTrace warm =
+      trace::generate(trace::homogeneousConfig(nodes, 2.0, sim::days(14), 22));
+
+  data::CatalogConfig ccfg;
+  ccfg.itemCount = 16;
+  ccfg.nodeCount = nodes;
+  ccfg.refreshPeriod = sim::hours(12);
+  data::Catalog catalog = data::makeUniformCatalog(ccfg);
+
+  trace::EstimatorConfig ecfg;
+  ecfg.mode = trace::EstimatorMode::kEwma;
+  trace::ContactRateEstimator estimator(nodes, ecfg, -sim::days(14));
+  for (const trace::Contact& c : warm.trace.contacts())
+    estimator.recordContact(c.a, c.b, c.start - sim::days(14));
+
+  sim::Simulator simulator;
+  net::Network network(simulator, world.trace);
+  metrics::MetricsCollector collector(catalog, 0.0);
+  cache::CoopCacheConfig cacheCfg;
+  cacheCfg.cachingNodesPerItem = 8;
+  cache::CooperativeCache coop(simulator, network, catalog, estimator, collector,
+                               world.rates, cacheCfg);
+  core::HierarchicalConfig schemeCfg;
+  schemeCfg.maintenance = core::MaintenanceMode::kRebuild;
+  schemeCfg.maintenancePeriod = sim::minutes(10);
+  schemeCfg.relayAssisted = false;
+  schemeCfg.fullMaintenance = fullMaintenance;
+  core::HierarchicalRefreshScheme scheme(schemeCfg, &world.rates);
+  data::SourceProcess sources(simulator, catalog, duration);
+  coop.setScheme(&scheme);
+  coop.start(sources, nullptr, duration);
+  simulator.runUntil(duration);
+  return {scheme.maintenanceRuns(), scheme.itemsSkipped(), scheme.planCacheHits(),
+          scheme.itemsRecomputed()};
+}
+
+TEST(IncrementalMaintenance, MaintenanceTickWorkCountsAreExact) {
+  // The registry counters (skipped, cache_hits) are identical under the
+  // escape hatch by design, so only itemsRecomputed() can see a cache hit
+  // that falls through to a recompute. Zero tolerance: every count is a
+  // pure function of the pinned config.
+  constexpr std::size_t kItems = 16;
+  const TickWork inc = runMaintenanceTicks(/*fullMaintenance=*/false);
+  EXPECT_EQ(inc.runs, 720u);
+  EXPECT_EQ(inc.skipped, 9408u);
+  EXPECT_EQ(inc.cacheHits, 9408u);
+  EXPECT_EQ(inc.recomputed, inc.runs * kItems - inc.cacheHits);
+  EXPECT_EQ(inc.recomputed, 2112u);
+
+  const TickWork full = runMaintenanceTicks(/*fullMaintenance=*/true);
+  EXPECT_EQ(full.runs, inc.runs);
+  EXPECT_EQ(full.skipped, inc.skipped);
+  EXPECT_EQ(full.cacheHits, inc.cacheHits);
+  EXPECT_EQ(full.recomputed, full.runs * kItems);
 }
 
 TEST(IncrementalMaintenance, ConfigFlagActivatesEscapeHatch) {

@@ -101,8 +101,20 @@ TEST(ShardEquivalence, MobilityCommunityHierarchicalAllShardCounts) {
   const Capture plain = runWith(cfg, 1);
   EXPECT_EQ(plain.out.shardStats.shards, 0u);  // plain kernel ran
   EXPECT_GT(plain.trace.size(), 0u);
-  for (const std::size_t shards : {2u, 4u, 7u})
+  const Capture two = runWith(cfg, 2);
+  expectIdentical(plain, two, 2);
+  for (const std::size_t shards : {4u, 7u})
     expectIdentical(plain, runWith(cfg, shards), shards);
+
+  // Exact fence classification at 2 shards: how many contacts had to run
+  // serially and how many the activity fence let off the coordinator. The
+  // split between worker-run and stolen contacts (and barrier waits)
+  // depends on the host's core count, so only their sum is pinned.
+  const ShardStats& s = two.out.shardStats;
+  EXPECT_EQ(s.contactsProcessed, 79u);
+  EXPECT_EQ(s.fenceContacts, 70u);
+  EXPECT_EQ(s.boringContacts + s.stolenContacts, 9u);
+  EXPECT_EQ(s.localTimerEvents, 106u);
 }
 
 TEST(ShardEquivalence, MobilityPowerLawWithContactLoss) {
@@ -258,7 +270,9 @@ TEST(ShardPlan, ContactShardIsSymmetricAndStable) {
       const auto s = contactShard(map, 4, a, b);
       EXPECT_EQ(s, contactShard(map, 4, b, a));
       EXPECT_LT(s, 4u);
-      if (map[a] == map[b]) EXPECT_EQ(s, map[a]);
+      if (map[a] == map[b]) {
+        EXPECT_EQ(s, map[a]);
+      }
     }
 }
 

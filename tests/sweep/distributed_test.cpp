@@ -156,6 +156,34 @@ TEST(Distributed, SpoolWorkersRunConcurrently) {
   EXPECT_EQ(merged.trace, reference.trace);
 }
 
+TEST(Distributed, LoneSpoolWorkerDoesExactWork) {
+  // One worker over an 8-unit store must run every unit in a single pass of
+  // the lease loop: one scan to pick up all eight, one more to see the
+  // store complete. A loop that rescans after every job, leaks a lease, or
+  // runs a unit twice shows up in these counts.
+  SweepManifest manifest = tinyManifest();
+  manifest.grid.seeds = {1, 2, 3, 4};
+  manifest.traceEnabled = false;
+  const std::string storeDir = tempStore("spool_lone");
+  ASSERT_EQ(spoolInit(manifest, storeDir), 8u);
+
+  SpoolWorkerOptions options;
+  options.storeDir = storeDir;
+  options.quiet = true;
+  const SpoolReport report = runSpoolWorker(options);
+  EXPECT_TRUE(report.allDone);
+  EXPECT_EQ(report.completed, 8u);
+  EXPECT_EQ(report.scans, 2u);
+
+  std::size_t fragments = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(storeDir + "/frags"))
+    if (entry.is_regular_file()) ++fragments;
+  EXPECT_EQ(fragments, 8u);
+  for (const auto& entry : std::filesystem::directory_iterator(storeDir))
+    EXPECT_NE(entry.path().filename().string().rfind("lease-", 0), 0u)
+        << "lease left behind: " << entry.path();
+}
+
 // ---- spoolInit as coordinator, worker processes -------------------------------
 
 TEST(Distributed, CoordinatorTwoWorkersByteIdenticalToEngine) {

@@ -335,6 +335,50 @@ TEST(EstimatorSnapshot, CumulativeKeepsAllSeenPairsTimeVarying) {
   expectBitIdentical(m, e.snapshot(200.0));
 }
 
+TEST(EstimatorSnapshot, SteadyStateSnapshotWorkIsExact) {
+  // The maintenance steady state: a warm 200-node EWMA estimator absorbs
+  // 16 random contacts per 10-minute tick, then re-materializes its matrix.
+  // An incremental snapshot re-evaluates only the touched pairs; a forced
+  // rewrite would evaluate the whole 19,900-pair triangle every time (while
+  // still reporting the incremental dirtyPairs, so only pairsEvaluated()
+  // can tell the two apart).
+  constexpr NodeId kNodes = 200;
+  EstimatorConfig cfg;
+  cfg.mode = EstimatorMode::kEwma;
+  ContactRateEstimator e(kNodes, cfg, 0.0);
+  // Two contacts per pair make every pair EWMA-stable (interval known), so
+  // steady-state dirtiness comes only from the per-tick contacts below.
+  for (NodeId i = 0; i < kNodes; ++i)
+    for (NodeId j = i + 1; j < kNodes; ++j) {
+      e.recordContact(i, j, 10.0 * (i + 1));
+      e.recordContact(i, j, 10.0 * (i + 1) + sim::hours(1));
+    }
+  RateMatrix m(kNodes);
+  double now = sim::days(1);
+  e.snapshotInto(m, now);  // prime: a full rewrite
+  EXPECT_EQ(e.pairsEvaluated(), PairIndex::triangleSize(kNodes));
+
+  sim::Rng rng(17);
+  std::size_t dirty = 0;
+  std::size_t changed = 0;
+  for (int k = 0; k < 500; ++k) {
+    for (int c = 0; c < 16; ++c) {
+      const NodeId a = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
+      NodeId b = static_cast<NodeId>(rng.uniformInt(0, kNodes - 2));
+      if (b >= a) ++b;
+      e.recordContact(a, b, now);
+    }
+    now += sim::minutes(10);
+    const SnapshotStats stats = e.snapshotInto(m, now);
+    dirty += stats.dirtyPairs;
+    changed += stats.changedPairs;
+  }
+  // 500 ticks x 16 contacts, one pair drawn twice within a tick.
+  EXPECT_EQ(dirty, 7999u);
+  EXPECT_EQ(changed, 7999u);
+  EXPECT_EQ(e.pairsEvaluated(), PairIndex::triangleSize(kNodes) + dirty);
+}
+
 TEST(Estimator, InvalidConfigThrows) {
   EstimatorConfig cfg;
   cfg.ewmaAlpha = 0.0;
