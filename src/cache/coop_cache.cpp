@@ -363,11 +363,15 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
 
   // Two rounds so a reply (or pull response) generated while processing one
   // side's buffer is handed over before the contact ends — contacts last
-  // minutes, easily enough for a request/response round trip.
-  for (int round = 0; round < 2; ++round) {
-    forwardBuffered(a, b, t, channel);
-    forwardBuffered(b, a, t, channel);
-  }
+  // minutes, easily enough for a request/response round trip. A pass
+  // changes state only after a transfer moves bytes (its purgeExpired does
+  // nothing when repeated at the same t), so a pass whose two predecessors
+  // moved nothing would read what its round-one twin read and move nothing
+  // again: round two runs a pass only when one of those two moved bytes.
+  const bool movedAB = forwardBuffered(a, b, t, channel);
+  const bool movedBA = forwardBuffered(b, a, t, channel);
+  const bool movedAB2 = (movedAB || movedBA) && forwardBuffered(a, b, t, channel);
+  if (movedBA || movedAB2) forwardBuffered(b, a, t, channel);
 }
 
 bool CooperativeCache::canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const {
@@ -419,7 +423,7 @@ double CooperativeCache::utilityToCachingSet(NodeId from, data::ItemId item,
   return best;
 }
 
-void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
+bool CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
                                        net::ContactChannel& channel) {
   auto& buf = buffers_[from];
   // Nothing live: done, *without* purging. The watermark check keeps this
@@ -427,8 +431,10 @@ void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
   // inert nodes (empty or expired-only buffers) on worker threads
   // (runner/shard_driver), and lingering expired messages are invisible to
   // every predicate below. Purge only when there is real work to walk.
-  if (!buf.hasLive(t)) return;
+  if (!buf.hasLive(t)) return false;
+  ++forwardPasses_;
   buf.purgeExpired(t);
+  const std::uint64_t budgetBefore = channel.remainingBytes();
 
   toRemoveScratch_.clear();
   auto& toRemove = toRemoveScratch_;
@@ -532,6 +538,7 @@ void CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
   }
 
   for (net::MessageId id : toRemove) buf.removeById(id);
+  return channel.remainingBytes() != budgetBefore;
 }
 
 void CooperativeCache::emitPlacement(sim::SimTime t) {

@@ -186,6 +186,11 @@ class CooperativeCache {
   /// Fraction of cached copies currently valid (unexpired); full scan.
   double validFraction(sim::SimTime t) const;
 
+  /// Forwarding passes that walked a buffer holding a live message. A work
+  /// count for tests; it reaches no result sink. Such passes only run on
+  /// fence contacts, never on the sharded kernel's worker threads.
+  std::uint64_t forwardPasses() const { return forwardPasses_; }
+
  private:
   void handleContact(NodeId a, NodeId b, sim::SimTime t, sim::SimTime duration,
                      net::ContactChannel& channel);
@@ -193,8 +198,9 @@ class CooperativeCache {
   void handleNewVersion(data::ItemId item, data::Version v, sim::SimTime t);
   /// Process `from`'s buffer against peer `to` (answer, deliver, spray).
   /// Reads forwarding utilities through utilities_, which handleContact
-  /// opened for this contact.
-  void forwardBuffered(NodeId from, NodeId to, sim::SimTime t, net::ContactChannel& channel);
+  /// opened for this contact. Returns whether the pass moved any bytes:
+  /// every state change it makes follows a successful transfer.
+  bool forwardBuffered(NodeId from, NodeId to, sim::SimTime t, net::ContactChannel& channel);
   /// Can `node` answer a query for `item` right now with a valid copy?
   bool canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const;
   void makeReply(NodeId answerer, const net::Message& query, sim::SimTime t);
@@ -233,6 +239,7 @@ class CooperativeCache {
   /// Deferred-removal scratch for forwardBuffered: reused across contacts so
   /// the steady-state contact path does not allocate.
   std::vector<net::MessageId> toRemoveScratch_;
+  std::uint64_t forwardPasses_ = 0;
   /// Per-contact forwarding-utility memo (destination rates and caching-set
   /// utilities keyed by item). Opened only for contacts where an endpoint
   /// buffers a live message, so the sharded kernel's worker threads — which

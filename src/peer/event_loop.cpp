@@ -76,13 +76,14 @@ void EventLoop::dispatchTimers() {
   }
 }
 
-int EventLoop::msUntilNextTimer() const {
-  // Skip over cancelled heads without mutating (const): the heap may hold
-  // stale entries, but a stale head only causes one early poll return.
-  if (timerHeap_.empty()) return 250;  // idle tick so stop() is honored
-  const double delta = timerHeap_.top().deadline - now();
-  if (delta <= 0.0) return 0;
-  return static_cast<int>(std::min(std::ceil(delta * 1000.0), 60000.0));
+timespec pollTimeout(std::optional<double> secondsToDeadline) {
+  if (!secondsToDeadline) return timespec{0, 250'000'000};  // idle tick so stop() is honored
+  const double delta = *secondsToDeadline;
+  if (!(delta > 0.0)) return timespec{0, 0};
+  if (delta >= 60.0) return timespec{60, 0};
+  const auto ns = static_cast<std::int64_t>(std::ceil(delta * 1e9));
+  return timespec{static_cast<std::time_t>(ns / 1'000'000'000),
+                  static_cast<long>(ns % 1'000'000'000)};
 }
 
 void EventLoop::run() {
@@ -108,9 +109,14 @@ void EventLoop::run() {
       pollGens.push_back(entry.generation);
     }
 
-    const int rc = ::poll(pollSet.data(), pollSet.size(), msUntilNextTimer());
+    // The heap may hold a cancelled head (cancellation is lazy); it only
+    // costs one early return.
+    const timespec timeout = pollTimeout(
+        timerHeap_.empty() ? std::nullopt
+                           : std::optional<double>(timerHeap_.top().deadline - now()));
+    const int rc = ::ppoll(pollSet.data(), pollSet.size(), &timeout, nullptr);
     if (rc < 0) {
-      DTNCACHE_CHECK_MSG(errno == EINTR, "poll failed: errno " << errno);
+      DTNCACHE_CHECK_MSG(errno == EINTR, "ppoll failed: errno " << errno);
       continue;
     }
 

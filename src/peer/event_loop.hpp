@@ -1,28 +1,36 @@
 #pragma once
 
 /// \file event_loop.hpp
-/// A poll(2) reactor for the peer daemon: non-blocking fd readiness
+/// A ppoll(2) reactor for the peer daemon: non-blocking fd readiness
 /// callbacks plus a monotonic-clock timer heap, single-threaded.
 ///
-/// poll over epoll on purpose: a peer daemon talks to a handful of
+/// ppoll over epoll on purpose: a peer daemon talks to a handful of
 /// neighbors (opportunistic contacts, not a datacenter fan-in), so the
-/// O(fds) scan is noise while poll stays portable and trivially correct.
+/// O(fds) scan is noise while the poll family stays trivially correct.
 /// The interest set is rebuilt from the registration table each iteration
 /// — callbacks may add/remove fds freely, including their own.
 ///
 /// Timers use CLOCK_MONOTONIC via steady_clock; `now()` is seconds since
 /// loop construction, which the daemon uses as its trace timestamp so a
-/// live trace reads like a simulation trace starting at t = 0.
+/// live trace reads like a simulation trace starting at t = 0. The wait
+/// is a nanosecond timespec (see pollTimeout), so a timer fires as soon
+/// after its deadline as the kernel's timer slack allows (tens of µs),
+/// not on the next whole millisecond as a poll(2) timeout would round it.
+/// Every daemon timer inherits that precision: the bump, version-vector,
+/// query and maintenance ticks, redial backoff, hello and idle timeouts.
 ///
 /// `wakeup()` is the only async-signal-safe entry point: it writes one
 /// byte to a self-pipe, so a signal handler can nudge the loop out of
-/// poll() and into a clean shutdown.
+/// ppoll() and into a clean shutdown. ppoll runs with a null signal mask,
+/// so signals are delivered exactly as under poll.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <functional>
 #include <map>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -33,6 +41,14 @@ inline constexpr std::uint32_t kReadable = 1u << 0;
 inline constexpr std::uint32_t kWritable = 1u << 1;
 /// Error/hangup — always delivered, never part of the interest mask.
 inline constexpr std::uint32_t kError = 1u << 2;
+
+/// The ppoll wait for a loop whose earliest armed timer is due in
+/// `secondsToDeadline` (nullopt when no timer is armed). Rounded *up* to
+/// the next whole nanosecond, so the loop never wakes before the deadline
+/// only to find nothing due; a due or past deadline waits zero. No armed
+/// timer waits a 250 ms idle tick, so stop() is honored; any wait is
+/// capped at 60 s.
+timespec pollTimeout(std::optional<double> secondsToDeadline);
 
 class EventLoop {
  public:
@@ -65,11 +81,11 @@ class EventLoop {
   void run();
   /// Request run() to return after the current iteration. Safe from a
   /// signal handler (atomic store) — pair with wakeup() there so the loop
-  /// leaves poll() promptly.
+  /// leaves ppoll() promptly.
   void stop() { running_.store(false, std::memory_order_relaxed); }
   bool stopped() const { return !running_.load(std::memory_order_relaxed); }
 
-  /// Async-signal-safe: make poll() return immediately.
+  /// Async-signal-safe: make ppoll() return immediately.
   void wakeup();
 
  private:
@@ -92,7 +108,6 @@ class EventLoop {
   };
 
   void dispatchTimers();
-  int msUntilNextTimer() const;
 
   std::chrono::steady_clock::time_point epoch_;
   std::map<int, FdEntry> fds_;

@@ -306,6 +306,7 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
   // The sharded driver delivers contacts outside the queue; adding them back
   // keeps the throughput denominator identical to the plain kernel's.
   out.eventsProcessed = simulator.eventsProcessed() + shardStats.contactsProcessed;
+  out.forwardPasses = coop.forwardPasses();
   out.shardStats = shardStats;
   out.counters = registry.counterSnapshot();
   out.timers = registry.timerSnapshot();

@@ -143,6 +143,8 @@ struct ExperimentOutput {
   // tests/runner/golden_counts_test.cpp, see docs/performance.md).
   std::size_t peakPendingEvents = 0;
   std::uint64_t eventsProcessed = 0;
+  /// Forwarding passes over a live buffer (cache::CooperativeCache::forwardPasses).
+  std::uint64_t forwardPasses = 0;
 
   /// Sharded-kernel coordination stats (all zero for plain runs). Kept out
   /// of `counters` so registry snapshots stay byte-identical across shard

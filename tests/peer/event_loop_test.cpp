@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +30,69 @@ struct Pipe {
   int readEnd() const { return fds[0]; }
   int writeEnd() const { return fds[1]; }
 };
+
+std::int64_t waitNs(const timespec& ts) {
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+TEST(PollTimeout, SubMillisecondDeadlineWaitsExactly) {
+  // poll(2) took whole milliseconds, so this deadline used to wait 1 ms.
+  EXPECT_EQ(waitNs(pollTimeout(0.0003)), 300'000);
+  EXPECT_EQ(waitNs(pollTimeout(1.0003 - 1.0)), 300'000);
+  EXPECT_EQ(waitNs(pollTimeout(1e-9)), 1);
+}
+
+TEST(PollTimeout, RoundsUpNeverDown) {
+  EXPECT_EQ(waitNs(pollTimeout(0.0010000005)), 1'000'001);
+  EXPECT_EQ(waitNs(pollTimeout(0.0010000001)), 1'000'001);
+  EXPECT_EQ(waitNs(pollTimeout(0.4e-9)), 1);
+  EXPECT_EQ(waitNs(pollTimeout(2.5)), 2'500'000'000);
+}
+
+TEST(PollTimeout, DueOrPastDeadlineDoesNotWait) {
+  EXPECT_EQ(waitNs(pollTimeout(0.0)), 0);
+  EXPECT_EQ(waitNs(pollTimeout(-0.5)), 0);
+}
+
+TEST(PollTimeout, IdleTickAndCap) {
+  EXPECT_EQ(waitNs(pollTimeout(std::nullopt)), 250'000'000);
+  EXPECT_EQ(waitNs(pollTimeout(60.0)), 60'000'000'000);
+  EXPECT_EQ(waitNs(pollTimeout(3600.0)), 60'000'000'000);
+  const timespec capped = pollTimeout(1e9);
+  EXPECT_EQ(capped.tv_sec, 60);
+  EXPECT_EQ(capped.tv_nsec, 0);
+}
+
+TEST(EventLoop, SubMillisecondTimersNeverFireEarly) {
+  // 20 deadlines 0.1–0.86 ms out, 40 µs apart, armed in shuffled order. No
+  // upper bound on lateness: host noise can delay any wakeup.
+  EventLoop loop;
+  constexpr int kTimers = 20;
+  std::vector<int> arming(kTimers);
+  for (int i = 0; i < kTimers; ++i) arming[i] = i;
+  std::shuffle(arming.begin(), arming.end(), std::mt19937(18));
+  std::vector<double> deadline(kTimers);
+  std::vector<double> firedAt(kTimers, -1.0);
+  std::vector<int> order;
+  const double base = loop.now();
+  for (int i : arming) {
+    const double t0 = loop.now();
+    const double delay = base + 1e-4 + 4e-5 * i - t0;
+    deadline[i] = t0 + delay;
+    loop.runAfter(delay, [&, i] {
+      firedAt[i] = loop.now();
+      order.push_back(i);
+      if (static_cast<int>(order.size()) == kTimers) loop.stop();
+    });
+  }
+  loop.runAfter(1.0, [&] { loop.stop(); });  // failure backstop
+  loop.run();
+  ASSERT_EQ(static_cast<int>(order.size()), kTimers);
+  for (int i = 0; i < kTimers; ++i) {
+    EXPECT_EQ(order[i], i) << "fired out of deadline order";
+    EXPECT_GE(firedAt[i], deadline[i]) << "timer " << i << " fired early";
+  }
+}
 
 TEST(EventLoop, TimersFireInDeadlineOrder) {
   EventLoop loop;

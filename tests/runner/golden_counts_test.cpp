@@ -221,6 +221,23 @@ TEST(GoldenCounts, InfocomOneDayCellIsExact) {
   }
 }
 
+TEST(GoldenCounts, ForwardPassesOfTheCellAreExact) {
+  // Forwarding passes that walked a live buffer. Round two of a contact
+  // runs a pass only when one of the two passes before it moved bytes;
+  // running both rounds always walks more buffers for the same counters.
+  const std::vector<std::pair<SchemeKind, std::uint64_t>> want = {
+      {SchemeKind::kHierarchical, 16942}, {SchemeKind::kNoRefresh, 12841},
+      {SchemeKind::kSourceDirect, 13540}, {SchemeKind::kPull, 22748},
+      {SchemeKind::kInvalidation, 23196}, {SchemeKind::kEpidemic, 12749},
+      {SchemeKind::kFlooding, 12749}};
+  ASSERT_EQ(want.size(), allSchemes().size());
+  ExperimentConfig cfg = goldenConfig();
+  for (const auto& [kind, passes] : want) {
+    cfg.scheme = kind;
+    EXPECT_EQ(runExperiment(cfg).forwardPasses, passes) << schemeName(kind);
+  }
+}
+
 TEST(GoldenCounts, TraceStatsOfTheCellAreExact) {
   // Computed once per memoized trace; runs read the stored copy.
   const ExperimentOutput out = runExperiment(goldenConfig());
