@@ -91,6 +91,24 @@ std::string render(const ExperimentOutput& out) {
   return os.str();
 }
 
+/// Checks every field of a golden row; on a mismatch the failure message
+/// also prints the actual row in source form.
+void expectRow(const ExperimentOutput& out, const Golden& want) {
+  const bool same = out.eventsProcessed == want.eventsProcessed &&
+                    out.peakPendingEvents == want.peakPendingEvents &&
+                    out.results.refreshPushes == want.refreshPushes &&
+                    hexBits(out.results.meanFreshFraction) == want.meanFresh &&
+                    hexBits(out.results.refreshWithinPeriodRatio) == want.withinTau &&
+                    out.counters == want.counters;
+  EXPECT_TRUE(same) << "actual row:\n" << render(out);
+  EXPECT_EQ(out.eventsProcessed, want.eventsProcessed);
+  EXPECT_EQ(out.peakPendingEvents, want.peakPendingEvents);
+  EXPECT_EQ(out.results.refreshPushes, want.refreshPushes);
+  EXPECT_EQ(hexBits(out.results.meanFreshFraction), want.meanFresh);
+  EXPECT_EQ(hexBits(out.results.refreshWithinPeriodRatio), want.withinTau);
+  EXPECT_EQ(out.counters, want.counters);
+}
+
 // Recorded from the tree before the contact-path rewrite (stream merge,
 // inline reads, per-contact utility memo); that rewrite is output-neutral.
 const std::vector<std::pair<SchemeKind, Golden>>& goldenRows() {
@@ -205,19 +223,7 @@ TEST(GoldenCounts, InfocomOneDayCellIsExact) {
     cfg.scheme = kind;
     const ExperimentOutput out = runExperiment(cfg);
     SCOPED_TRACE(schemeName(kind));
-    const bool same = out.eventsProcessed == want.eventsProcessed &&
-                      out.peakPendingEvents == want.peakPendingEvents &&
-                      out.results.refreshPushes == want.refreshPushes &&
-                      hexBits(out.results.meanFreshFraction) == want.meanFresh &&
-                      hexBits(out.results.refreshWithinPeriodRatio) == want.withinTau &&
-                      out.counters == want.counters;
-    EXPECT_TRUE(same) << "actual row:\n" << render(out);
-    EXPECT_EQ(out.eventsProcessed, want.eventsProcessed);
-    EXPECT_EQ(out.peakPendingEvents, want.peakPendingEvents);
-    EXPECT_EQ(out.results.refreshPushes, want.refreshPushes);
-    EXPECT_EQ(hexBits(out.results.meanFreshFraction), want.meanFresh);
-    EXPECT_EQ(hexBits(out.results.refreshWithinPeriodRatio), want.withinTau);
-    EXPECT_EQ(out.counters, want.counters);
+    expectRow(out, want);
   }
 }
 
@@ -235,6 +241,58 @@ TEST(GoldenCounts, ForwardPassesOfTheCellAreExact) {
   for (const auto& [kind, passes] : want) {
     cfg.scheme = kind;
     EXPECT_EQ(runExperiment(cfg).forwardPasses, passes) << schemeName(kind);
+  }
+}
+
+TEST(GoldenCounts, ChurnEnergyCellIsExact) {
+  // The same cell with node churn and battery drain on, and energy-aware
+  // helper selection, so churn flips, Pull's periodic checks and the
+  // maintenance re-arms all run through the kernel's timer path. Recorded
+  // before the event set was reduced to one heap of callbacks; that change
+  // is output-neutral.
+  const std::vector<std::pair<SchemeKind, Golden>> rows = {
+      {SchemeKind::kHierarchical,
+       {12577, 249, 172, "0x1.a158800b45e6ep-1", "0x1.6318c6318c632p-1",
+        {{"cache.handshake.truncated", 0}, {"cache.install.evicted", 0},
+         {"cache.install.inserted", 80}, {"cache.install.upgraded", 172},
+         {"cache.push.delivered", 102}, {"cache.push.denied", 0}, {"cache.push.noop", 0},
+         {"cache.query.local_hit", 22}, {"cache.query.sprayed", 138},
+         {"cache.reply.delivered", 363}, {"core.churn.repairs", 31},
+         {"core.maintenance.dirty_pairs", 6006}, {"core.maintenance.runs", 2},
+         {"core.maintenance.skipped", 0}, {"core.plan.cache_hits", 0},
+         {"core.plan.helpers", 1665}, {"core.plan.unmet", 409}, {"core.relay.injected", 320},
+         {"core.reparent.count", 8}, {"net.contact.delivered", 10417},
+         {"net.contact.lost", 0}, {"net.contact.suppressed", 1890},
+         {"shard.boring_contacts", 1245}, {"shard.fence_contacts", 9172},
+         {"shard.fence_from_expired_only", 391}}}},
+      {SchemeKind::kPull,
+       {12599, 249, 99, "0x1.0f0853defdd27p-1", "0x1.9084210842108p-2",
+        {{"cache.handshake.truncated", 0}, {"cache.install.evicted", 0},
+         {"cache.install.inserted", 80}, {"cache.install.upgraded", 99},
+         {"cache.push.delivered", 0}, {"cache.push.denied", 0}, {"cache.push.noop", 0},
+         {"cache.query.local_hit", 22}, {"cache.query.sprayed", 138},
+         {"cache.reply.delivered", 365}, {"core.churn.repairs", 0},
+         {"core.maintenance.dirty_pairs", 0}, {"core.maintenance.runs", 0},
+         {"core.maintenance.skipped", 0}, {"core.plan.cache_hits", 0},
+         {"core.plan.helpers", 0}, {"core.plan.unmet", 0}, {"core.relay.injected", 0},
+         {"core.reparent.count", 0}, {"net.contact.delivered", 10417},
+         {"net.contact.lost", 0}, {"net.contact.suppressed", 1890},
+         {"shard.boring_contacts", 783}, {"shard.fence_contacts", 9634},
+         {"shard.fence_from_expired_only", 210}}}},
+  };
+  // The churn schedule is drawn upfront from its own seed, so both schemes
+  // see the same flips.
+  const std::size_t churnFlips = 38;
+  ExperimentConfig cfg = goldenConfig();
+  cfg.churnEnabled = true;
+  cfg.energyEnabled = true;
+  cfg.energyAwarePlanning = true;
+  for (const auto& [kind, want] : rows) {
+    cfg.scheme = kind;
+    const ExperimentOutput out = runExperiment(cfg);
+    SCOPED_TRACE(schemeName(kind));
+    expectRow(out, want);
+    EXPECT_EQ(out.churnTransitions, churnFlips);
   }
 }
 
