@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/crc32.hpp"
 #include "sim/assert.hpp"
 
 namespace dtncache::peer {
@@ -9,19 +10,14 @@ namespace {
 
 // ---- little-endian writers ---------------------------------------------------
 
+using core::putU32;
+using core::putU64;
+
 void putU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
 
 void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void putU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
 // ---- bounds-checked little-endian reader ------------------------------------
@@ -37,15 +33,13 @@ class Reader {
   }
   bool u32(std::uint32_t& v) {
     if (pos_ + 4 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
+    v = core::readU32(data_ + pos_);
     pos_ += 4;
     return true;
   }
   bool u64(std::uint64_t& v) {
     if (pos_ + 8 > size_) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+    v = core::readU64(data_ + pos_);
     pos_ += 8;
     return true;
   }

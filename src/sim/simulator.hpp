@@ -7,17 +7,15 @@
 /// callbacks at absolute times or relative delays; run()/runUntil() drive
 /// the event loop. Periodic activities (source refresh, maintenance timers,
 /// metric sampling) are expressed with schedulePeriodic(), which re-arms
-/// itself until cancelled. A time-sorted producer that knows all its events
-/// upfront (net::Network's contact trace) attaches as an EventStream instead:
-/// the loop takes each next event from whichever of the queue head and the
-/// stream head has the smaller (time, FIFO rank) key, so stream events never
-/// enter the heap.
+/// itself for the rest of the run; no event is ever cancelled. A time-sorted
+/// producer that knows all its events upfront (net::Network's contact trace)
+/// attaches as an EventStream instead: the loop takes each next event from
+/// whichever of the queue head and the stream head has the smaller (time,
+/// FIFO rank) key, so stream events never enter the heap.
 
 #include <cstddef>
-#include <functional>
+#include <deque>
 #include <limits>
-#include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -40,21 +38,26 @@ class EventStream {
 
 class Simulator {
  public:
+  Simulator() = default;
+  // Scheduled periodic re-arms hold `this`.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+
   /// Current simulation time. Starts at 0.
   SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `at` (>= now()). The scope is the
   /// scheduler's promise about the callback (see EventScope); default to
   /// kFence unless the callback provably commutes with worker-run contacts.
-  EventId scheduleAt(SimTime at, EventFn fn, EventScope scope = EventScope::kFence) {
+  void scheduleAt(SimTime at, EventFn fn, EventScope scope = EventScope::kFence) {
     DTNCACHE_CHECK_MSG(at >= now_, "scheduleAt in the past: " << at << " < " << now_);
-    return queue_.schedule(at, std::move(fn), scope);
+    queue_.schedule(at, std::move(fn), scope);
   }
 
   /// Schedule `fn` after a non-negative delay from now().
-  EventId scheduleAfter(SimTime delay, EventFn fn, EventScope scope = EventScope::kFence) {
+  void scheduleAfter(SimTime delay, EventFn fn, EventScope scope = EventScope::kFence) {
     DTNCACHE_CHECK_MSG(delay >= 0.0, "negative delay " << delay);
-    return queue_.schedule(now_ + delay, std::move(fn), scope);
+    queue_.schedule(now_ + delay, std::move(fn), scope);
   }
 
   /// Claim `n` consecutive FIFO ranks for a later attachStream. A streaming
@@ -66,34 +69,19 @@ class Simulator {
     return queue_.reserveSequences(n);
   }
 
-  /// Schedule `fn` to fire every `period` seconds. The first firing is at
-  /// now()+phase, or now()+period when phase is kDefaultPhase. The callback
-  /// keeps firing until the returned id is cancelled; the re-arm happens
-  /// before the callback runs, so a callback may cancel its own series via
-  /// the handle it captured.
+  /// Schedule `fn` to fire every `period` seconds for the rest of the run.
+  /// The first firing is at now()+phase, or now()+period when phase is
+  /// kDefaultPhase. Each firing re-arms the series before the callback runs,
+  /// so the next tick draws its FIFO rank ahead of anything the callback
+  /// schedules.
   static constexpr SimTime kDefaultPhase = -1.0;
-  EventId schedulePeriodic(SimTime period, EventFn fn, SimTime phase = kDefaultPhase,
-                           EventScope scope = EventScope::kFence) {
+  void schedulePeriodic(SimTime period, EventFn fn, SimTime phase = kDefaultPhase,
+                        EventScope scope = EventScope::kFence) {
     DTNCACHE_CHECK(period > 0.0);
     if (phase == kDefaultPhase) phase = period;
     DTNCACHE_CHECK(phase >= 0.0);
-    auto series = std::make_shared<PeriodicSeries>();
-    series->fn = std::move(fn);
-    series->scope = scope;
-    const EventId id = nextSeriesId_++;
-    armPeriodic(series, now_ + phase, period);
-    periodic_[id] = std::move(series);
-    return id;
-  }
-
-  /// Cancel a pending (or periodic) event; no-op for fired/unknown ids.
-  void cancel(EventId id) {
-    if (auto it = periodic_.find(id); it != periodic_.end()) {
-      queue_.cancel(it->second->armed);
-      periodic_.erase(it);
-    } else {
-      queue_.cancel(id);
-    }
+    series_.push_back(PeriodicSeries{std::move(fn), period, scope});
+    armPeriodic(series_.size() - 1, now_ + phase);
   }
 
   /// Merge `count` events of `stream` into the event order without
@@ -117,27 +105,24 @@ class Simulator {
 
   /// Run until the event set is exhausted.
   void run() {
-    while (!stopped_ && fireNext(std::numeric_limits<SimTime>::infinity())) {
+    while (fireNext(std::numeric_limits<SimTime>::infinity())) {
     }
   }
 
   /// Run events with time <= `until`, then advance the clock to `until`.
   void runUntil(SimTime until) {
     DTNCACHE_CHECK(until >= now_);
-    while (!stopped_ && fireNext(until)) {
+    while (fireNext(until)) {
     }
-    if (!stopped_) now_ = until;
+    now_ = until;
   }
 
-  /// (time, sequence) key of the earliest queued event, or false when the
-  /// queue is empty. The sharded runner (which attaches no stream: it pulls
-  /// contacts itself) uses this to choose each merge barrier's bound
-  /// without popping anything.
-  bool peekNextKey(SimTime& t, EventQueue::Sequence& seq) { return queue_.peekKey(t, seq); }
-
-  /// peekNextKey plus the head event's scope, so the sharded runner knows
-  /// whether running it requires quiescing the workers first.
-  bool peekNextKey(SimTime& t, EventQueue::Sequence& seq, EventScope& scope) {
+  /// (time, sequence) key and scope of the earliest queued event, or false
+  /// when the queue is empty. The sharded runner (which attaches no stream:
+  /// it pulls contacts itself) uses this to choose each merge barrier's
+  /// bound without popping anything, and the scope to decide whether
+  /// running the event requires quiescing the workers first.
+  bool peekNextKey(SimTime& t, EventQueue::Sequence& seq, EventScope& scope) const {
     return queue_.peekKey(t, seq, scope);
   }
 
@@ -155,10 +140,6 @@ class Simulator {
   void advanceClockTo(SimTime t) {
     if (t > now_) now_ = t;
   }
-
-  /// Request the current run()/runUntil() to return after the active event.
-  void stop() { stopped_ = true; }
-  bool stopped() const { return stopped_; }
 
   /// Queued events, plus one while an attached stream has events left.
   std::size_t pendingEvents() const { return queue_.size() + (streamLive() ? 1 : 0); }
@@ -180,19 +161,6 @@ class Simulator {
   /// denominator for benchmarks).
   std::uint64_t eventsProcessed() const { return queue_.processed() + streamFired_; }
 
-  /// Drop all pending events (and the rest of an attached stream) and reset
-  /// the stop flag; the clock is kept (a simulator's clock never moves
-  /// backwards).
-  void clearPending() {
-    queue_.clear();
-    periodic_.clear();
-    if (stream_ != nullptr) {
-      streamNext_ = streamEnd_;
-      queue_.setPeakBias(0);
-    }
-    stopped_ = false;
-  }
-
  private:
   bool streamLive() const { return streamNext_ < streamEnd_; }
 
@@ -204,7 +172,8 @@ class Simulator {
   bool fireNext(SimTime until) {
     SimTime qt = 0.0;
     EventQueue::Sequence qs = 0;
-    const bool haveQ = queue_.peekKey(qt, qs);
+    EventScope scope{};
+    const bool haveQ = queue_.peekKey(qt, qs, scope);
     if (streamLive() &&
         (!haveQ || streamTime_ < qt || (streamTime_ == qt && streamSeq_ < qs))) {
       if (streamTime_ > until) return false;
@@ -228,31 +197,26 @@ class Simulator {
 
   struct PeriodicSeries {
     EventFn fn;
-    EventId armed = 0;  ///< the currently scheduled instance
-    EventScope scope = EventScope::kFence;
+    SimTime period;
+    EventScope scope;
   };
 
-  void armPeriodic(std::shared_ptr<PeriodicSeries> series, SimTime at, SimTime period) {
-    // The armed id is written into the series itself, so re-arming on each
-    // firing touches no map — cancel() is the only map lookup.
-    PeriodicSeries* raw = series.get();
-    raw->armed = queue_.schedule(
+  /// Schedule series `k`'s next firing at `at`. The event captures only the
+  /// index, and series_ is a deque, so a callback that starts another series
+  /// (appending to series_) never moves the callback that is running.
+  void armPeriodic(std::size_t k, SimTime at) {
+    queue_.schedule(
         at,
-        [this, series, period](SimTime t) {
-          // Re-arm first so the callback can cancel the series.
-          armPeriodic(series, t + period, period);
-          series->fn(t);
+        [this, k](SimTime t) {
+          armPeriodic(k, t + series_[k].period);
+          series_[k].fn(t);
         },
-        raw->scope);
+        series_[k].scope);
   }
 
   EventQueue queue_;
   SimTime now_ = 0.0;
-  bool stopped_ = false;
-  // Periodic series ids live in a separate (high-bit) space so they never
-  // collide with EventQueue ids (which stay below 2^62).
-  EventId nextSeriesId_ = (EventId{1} << 62) + 1;
-  std::unordered_map<EventId, std::shared_ptr<PeriodicSeries>> periodic_;
+  std::deque<PeriodicSeries> series_;
 
   EventStream* stream_ = nullptr;
   std::size_t streamNext_ = 0;  ///< index of the stream head

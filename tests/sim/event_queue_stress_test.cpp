@@ -1,12 +1,11 @@
 /// \file event_queue_stress_test.cpp
-/// Randomized interleaving stress for the slot-table EventQueue against a
-/// naive reference model.
+/// Randomized interleaving stress for the EventQueue heap against a naive
+/// reference model.
 ///
 /// The fuzz test (event_queue_fuzz_test.cpp) uses continuous times, where
 /// ties have measure zero. This stress deliberately uses DISCRETE times so
 /// that same-time events are common — the regime where the (time, sequence)
-/// FIFO tiebreak and the generation-stamped cancel path actually carry the
-/// determinism guarantee. The reference model is a plain vector searched
+/// FIFO tiebreak actually carries the determinism guarantee. The reference model is a plain vector searched
 /// linearly: trivially correct, no shared code with the real queue.
 
 #include <gtest/gtest.h>
@@ -32,11 +31,9 @@ struct RefEvent {
 
 class ReferenceQueue {
  public:
-  std::size_t schedule(SimTime at, std::uint64_t payload) {
+  void schedule(SimTime at, std::uint64_t payload) {
     events_.push_back({at, nextOrder_++, payload, true});
-    return events_.size() - 1;
   }
-  void cancel(std::size_t handle) { events_[handle].alive = false; }
   std::size_t size() const {
     std::size_t n = 0;
     for (const auto& e : events_)
@@ -69,8 +66,7 @@ TEST(EventQueueStress, MatchesNaiveReferenceUnderRandomInterleaving) {
     std::mt19937_64 rng(seed);
     EventQueue queue;
     ReferenceQueue ref;
-    std::vector<std::pair<EventId, std::size_t>> live;  // (queue id, ref handle)
-    std::vector<std::uint64_t> popped;                  // payloads, queue side
+    std::vector<std::uint64_t> popped;  // payloads, queue side
     std::vector<std::uint64_t> refPopped;
     std::uint64_t nextPayload = 0;
     SimTime now = 0.0;
@@ -81,25 +77,14 @@ TEST(EventQueueStress, MatchesNaiveReferenceUnderRandomInterleaving) {
         // Schedule at a coarse discrete time so ties are frequent.
         const SimTime at = now + static_cast<SimTime>(rng() % 8);
         const std::uint64_t payload = nextPayload++;
-        const EventId id = queue.schedule(
-            at, [payload, &popped](SimTime) { popped.push_back(payload); });
-        live.push_back({id, ref.schedule(at, payload)});
-      } else if (op < 7 && !live.empty()) {
-        // Cancel a random live event (and occasionally one already popped —
-        // the generation stamp must make that a no-op).
-        const auto pick = rng() % live.size();
-        queue.cancel(live[pick].first);
-        ref.cancel(live[pick].second);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        queue.schedule(at, [payload, &popped](SimTime) { popped.push_back(payload); });
+        ref.schedule(at, payload);
       } else if (!queue.empty()) {
         SimTime refTime = 0.0;
         refPopped.push_back(ref.pop(&refTime));
         const SimTime qTime = queue.runNext();
         EXPECT_EQ(qTime, refTime) << "seed " << seed << " step " << step;
         now = qTime;
-        // Popped entries deliberately stay in `live`: a later cancel of a
-        // consumed id exercises the generation stamp (no-op on both sides,
-        // even if the slot has been reused by a newer event).
       }
       ASSERT_EQ(queue.size(), ref.size()) << "seed " << seed << " step " << step;
     }
@@ -113,23 +98,6 @@ TEST(EventQueueStress, MatchesNaiveReferenceUnderRandomInterleaving) {
     EXPECT_EQ(popped, refPopped) << "pop order diverged for seed " << seed;
     EXPECT_EQ(ref.size(), 0u);
   }
-}
-
-TEST(EventQueueStress, CancelOfPoppedIdIsNoop) {
-  EventQueue queue;
-  int fired = 0;
-  const EventId a = queue.schedule(1.0, [&](SimTime) { ++fired; });
-  queue.schedule(2.0, [&](SimTime) { ++fired; });
-  queue.runNext();
-  // `a` was consumed; its slot may be reused by the next schedule. The
-  // generation stamp must keep the stale id from cancelling the newcomer.
-  const EventId b = queue.schedule(3.0, [&](SimTime) { ++fired; });
-  queue.cancel(a);
-  EXPECT_EQ(queue.size(), 2u);
-  queue.runNext();
-  queue.runNext();
-  EXPECT_EQ(fired, 3);
-  (void)b;
 }
 
 TEST(EventQueueStress, ReservedSequencesInterleaveAheadOfLaterSchedules) {

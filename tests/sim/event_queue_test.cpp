@@ -41,42 +41,6 @@ TEST(EventQueue, ReportsFiringTime) {
   EXPECT_DOUBLE_EQ(seen, 7.5);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule(1.0, [&](SimTime) { ++fired; });
-  q.schedule(2.0, [&](SimTime) { ++fired; });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.runNext();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue q;
-  q.schedule(1.0, [](SimTime) {});
-  q.cancel(9999);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, DoubleCancelDoesNotCorruptCount) {
-  EventQueue q;
-  const EventId id = q.schedule(1.0, [](SimTime) {});
-  q.schedule(2.0, [](SimTime) {});
-  q.cancel(id);
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_FALSE(q.empty());
-}
-
-TEST(EventQueue, PeekSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.schedule(1.0, [](SimTime) {});
-  q.schedule(5.0, [](SimTime) {});
-  q.cancel(early);
-  EXPECT_DOUBLE_EQ(q.peekTime(), 5.0);
-}
-
 TEST(EventQueue, SchedulingInThePastThrows) {
   EventQueue q;
   q.schedule(10.0, [](SimTime) {});
@@ -95,24 +59,13 @@ TEST(EventQueue, SchedulingAtCurrentTimeIsAllowed) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, ClearDropsEverything) {
-  EventQueue q;
-  q.schedule(1.0, [](SimTime) {});
-  q.schedule(2.0, [](SimTime) {});
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.peekTime(), kNever);
-}
-
 TEST(EventQueue, ManyInterleavedOperationsStayOrdered) {
   EventQueue q;
   std::vector<SimTime> fired;
-  std::vector<EventId> ids;
   for (int i = 100; i > 0; --i)
-    ids.push_back(q.schedule(static_cast<SimTime>(i), [&](SimTime t) { fired.push_back(t); }));
-  for (std::size_t i = 0; i < ids.size(); i += 2) q.cancel(ids[i]);
+    q.schedule(static_cast<SimTime>(i), [&](SimTime t) { fired.push_back(t); });
   while (!q.empty()) q.runNext();
-  ASSERT_EQ(fired.size(), 50u);
+  ASSERT_EQ(fired.size(), 100u);
   for (std::size_t i = 1; i < fired.size(); ++i) EXPECT_LT(fired[i - 1], fired[i]);
 }
 
