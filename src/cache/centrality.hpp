@@ -43,68 +43,4 @@ std::vector<NodeId> selectTopCapability(const trace::RateMatrix& rates, sim::Sim
 std::vector<NodeId> selectNcls(const trace::RateMatrix& rates, sim::SimTime window,
                                std::size_t k);
 
-/// Incrementally-maintained centrality inputs: the meeting-probability
-/// cache (a PairIndex mirroring the rate matrix's stored pairs, in the
-/// matrix's layout, plus one probability per slot), per-node capability,
-/// and the last NCL set. The incremental contactCapability/selectNcls
-/// overloads update it from a list of changed nodes (every node with at
-/// least one changed rate-matrix row entry — ContactRateEstimator::
-/// snapshotInto emits exactly that), so a maintenance tick re-derives only
-/// what its dirty rows can affect and short-circuits entirely when nothing
-/// changed. Results are bit-identical to the batch functions: probabilities
-/// are cached from the same contactProbability evaluations and every sum
-/// runs in the same j-order.
-class CentralityState {
- public:
-  bool primed() const { return primed_; }
-  const std::vector<double>& capability() const { return capability_; }
-  const std::vector<NodeId>& ncls() const { return ncls_; }
-  /// Force a full re-derivation on the next incremental call.
-  void invalidate() { primed_ = false; }
-
- private:
-  friend const std::vector<double>& contactCapability(
-      CentralityState& state, const trace::RateMatrix& rates, sim::SimTime window,
-      const std::vector<NodeId>& changedNodes);
-  friend bool selectNcls(CentralityState& state, const trace::RateMatrix& rates,
-                         sim::SimTime window, std::size_t k,
-                         const std::vector<NodeId>& changedNodes);
-
-  /// Re-derive the cached probabilities of node i's pairs from `rates`.
-  void rebuildRow(NodeId i, const trace::RateMatrix& rates);
-  void refresh(const trace::RateMatrix& rates, sim::SimTime window,
-               const std::vector<NodeId>& changedNodes);
-
-  sim::SimTime window_ = 0.0;
-  std::size_t k_ = 0;
-  bool primed_ = false;
-  double defaultP_ = 0.0;   ///< P for pairs the matrix does not store
-  trace::PairIndex index_;  ///< mirrors the source matrix's stored pairs
-  std::vector<double> probs_;  ///< slot -> P(i meets j in T)
-  std::vector<double> capability_;  ///< C_i(T), kept current per refresh
-  std::vector<NodeId> ncls_;        ///< NCL set from the last selectNcls
-  std::vector<double> notCovered_;  ///< greedy scratch
-  std::vector<char> isChosen_;      ///< greedy scratch
-  std::vector<NodeId> scratchNcls_;
-};
-
-/// Incremental C_i(T): refresh the cached probabilities/capabilities for
-/// `changedNodes` only (full derivation when unprimed or the matrix size /
-/// layout / default rate / window differ) and return the capability
-/// vector. Bit-identical to the batch overload.
-const std::vector<double>& contactCapability(CentralityState& state,
-                                             const trace::RateMatrix& rates,
-                                             sim::SimTime window,
-                                             const std::vector<NodeId>& changedNodes);
-
-/// Incremental NCL selection: when the state is primed and `changedNodes`
-/// is empty (and n/window/k are unchanged) the greedy pass is skipped
-/// outright; otherwise the cached probabilities are refreshed and the
-/// greedy selection re-runs over them. Returns true when the resulting NCL
-/// set differs from the previous call (the first call on an unprimed state
-/// reports true). The set itself is `state.ncls()`.
-bool selectNcls(CentralityState& state, const trace::RateMatrix& rates,
-                sim::SimTime window, std::size_t k,
-                const std::vector<NodeId>& changedNodes);
-
 }  // namespace dtncache::cache

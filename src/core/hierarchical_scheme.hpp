@@ -12,7 +12,9 @@
 ///   (b) the metadata handshake showed the peer's version is older.
 /// Hierarchies are built from contact-rate knowledge — either the shared
 /// online estimator (default; imperfect, improves over time) or an oracle
-/// rate matrix (ablation F9) — and maintained periodically:
+/// rate matrix (ablation F9) — and maintained periodically. Every tick
+/// re-derives every item from the current rates; nothing is reused across
+/// ticks:
 ///   - kRebuild: reconstruct tree + plan from current estimates (the
 ///     centralized upper bound for maintenance quality);
 ///   - kLocalRepair: every node re-evaluates only its own parent edge and
@@ -25,11 +27,9 @@
 #include <memory>
 #include <vector>
 
-#include "cache/centrality.hpp"
 #include "cache/coop_cache.hpp"
 #include "cache/refresh_scheme.hpp"
 #include "core/hierarchy.hpp"
-#include "core/plan_cache.hpp"
 #include "core/replication.hpp"
 #include "core/slot_index.hpp"
 #include "trace/estimator.hpp"
@@ -70,16 +70,6 @@ struct HierarchicalConfig {
   /// fraction are not handed relay copies.
   double minRelayCarrierBattery = 0.15;
 
-  /// Escape hatch: disable the incremental-maintenance fast paths and run
-  /// the full recompute (every tick re-snapshots, rebuilds, and replans
-  /// every item) while keeping the incremental bookkeeping — dirty-pair
-  /// stats, skip decisions, and cache probes are still evaluated, and when
-  /// a tick *would* have been skipped the recomputed result is checked
-  /// against the cached one, so the two paths stay byte-identical in every
-  /// output and counter and CI can diff them. Also enabled by setting the
-  /// DTNCACHE_FULL_MAINTENANCE environment variable to any non-empty value.
-  /// Deliberately not a config_io key: fingerprints must match across paths.
-  bool fullMaintenance = false;
 };
 
 class HierarchicalRefreshScheme : public cache::RefreshScheme {
@@ -94,13 +84,12 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
                  net::ContactChannel& channel) override;
 
   /// In oracle-rates mode the maintenance tick commutes with worker-run
-  /// boring contacts: refreshRateState returns before touching the
-  /// estimator (planning reads the const oracle matrix, depVersion is
-  /// constant 0), and maintainItem/rebuildItem/localRepairItem only mutate
-  /// scheme-owned planning state (hierarchies, plan cache, counters, tracer)
-  /// — never stores, buffers, or anything the activity fence reads. So the
-  /// sharded driver may run it without a barrier. Live-estimator mode reads
-  /// snapshotInto (worker-written pair state) and stays a fence.
+  /// boring contacts: planning reads the const oracle matrix, never the
+  /// estimator, and rebuildItem/localRepairItem only mutate scheme-owned
+  /// planning state (hierarchies, plans, counters, tracer) — never stores,
+  /// buffers, or anything the activity fence reads. So the sharded driver
+  /// may run it without a barrier. Live-estimator mode reads worker-written
+  /// pair state and stays a fence.
   sim::EventScope timerScope(cache::TimerKind kind) const override {
     if (kind == cache::TimerKind::kMaintenance && config_.useOracleRates)
       return sim::EventScope::kShardLocal;
@@ -144,47 +133,10 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   std::size_t reparentCount() const { return reparentCount_; }
   std::size_t relayInjections() const { return relayInjections_; }
 
-  /// Incremental-maintenance state inspection (tests, benches).
-  /// Global rate-state version: bumped on every maintenance snapshot that
-  /// changed at least one pair estimate.
-  std::uint64_t rateVersion() const { return rateVersion_; }
-  /// Maintenance evaluations answered from the plan cache.
-  std::size_t planCacheHits() const { return planCacheHits_; }
-  /// (item, tick) maintenance evaluations skipped outright.
-  std::size_t itemsSkipped() const { return skippedItems_; }
-  /// (item, tick) maintenance evaluations that recomputed the item through
-  /// rebuildItem/localRepairItem. Not a registry counter on purpose: it
-  /// differs under the full-recompute escape hatch (every evaluation
-  /// recomputes there), and result sinks must stay byte-identical between
-  /// the two paths.
-  std::size_t itemsRecomputed() const { return recomputedItems_; }
-  /// Whether the full-recompute escape hatch is active (config or env var).
-  bool fullMaintenanceActive() const { return fullMaintenance_; }
-
  private:
-  /// Rate function for periodic planning: reads the maintained snapshot
-  /// matrix (or the oracle), which at tick times holds exactly the live
-  /// estimator's values — so snapshot-backed planning is bit-identical to
-  /// the live closure it replaces, while making plan reuse sound (the
-  /// inputs are versioned).
-  RateFn planningRateFn() const;
-  /// Rate function for event-driven (churn) repairs between ticks: the live
-  /// estimator at time `t`, exactly as before incremental maintenance.
+  /// Planning rates at time `t`: the live estimator, or the oracle matrix
+  /// under useOracleRates.
   RateFn liveRateFn(cache::CooperativeCache& cache, sim::SimTime t) const;
-  /// Refresh the snapshot matrix + centrality state from the estimator;
-  /// bumps rate/row versions for changed rows and reports whether the NCL
-  /// set moved.
-  void refreshRateState(cache::CooperativeCache& cache, sim::SimTime t,
-                        bool* nclChanged, trace::SnapshotStats* stats);
-  /// Max row version over the item's dependency rows (members + source).
-  std::uint64_t depVersion(data::ItemId item) const;
-  /// Record a structural change to the item's tree: bump its revision and
-  /// clear the repair-settled flag.
-  void touchHierarchy(data::ItemId item);
-  /// One item's share of a maintenance tick: skip, replay from cache, or
-  /// recompute (and, under the escape hatch, verify cache hits).
-  void maintainItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t,
-                    bool allowSkip, std::size_t& skipped);
   void rebuildItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t);
   void localRepairItem(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t);
   void runMaintenance(cache::CooperativeCache& cache, sim::SimTime t);
@@ -199,21 +151,9 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   void injectRelays(cache::CooperativeCache& cache, NodeId holder, NodeId carrier,
                     sim::SimTime t, net::ContactChannel& channel);
 
-  /// Recompute (and trace) the item's replication plan, storing it in the
-  /// plan cache — keyed on the current (dep version, hierarchy revision, τ)
-  /// when `cacheable` (periodic maintenance), unkeyed for event-driven
-  /// repairs whose inputs are not tick-versioned.
+  /// Recompute (and trace) the item's replication plan.
   void replan(cache::CooperativeCache& cache, data::ItemId item, sim::SimTime t,
-              const RateFn& rate, bool cacheable);
-  /// Counter adds + `plan` event for a freshly computed or replayed plan.
-  void emitPlanOutcome(data::ItemId item, sim::SimTime t, const ReplicationPlan& plan);
-  /// Re-emit a cached plan's helper_assign/plan events and counter adds —
-  /// byte-identical to recomputing it.
-  void replayPlan(data::ItemId item, sim::SimTime t, const ReplicationPlan& plan);
-  /// Plan reuse is disabled while an energy weight is installed: battery
-  /// fractions drain outside the versioned rate state, so no two ticks are
-  /// provably equivalent and every tick replans (the pre-incremental cost).
-  bool planCacheEnabled() const { return !config_.replication.helperWeight; }
+              const RateFn& rate);
 
   HierarchicalConfig config_;
   const trace::RateMatrix* oracleRates_;
@@ -224,48 +164,16 @@ class HierarchicalRefreshScheme : public cache::RefreshScheme {
   obs::Counter* ctrChurnRepairs_ = nullptr;
   obs::Counter* ctrPlanHelpers_ = nullptr;
   obs::Counter* ctrPlanUnmet_ = nullptr;
-  obs::Counter* ctrDirtyPairs_ = nullptr;
-  obs::Counter* ctrSkipped_ = nullptr;
-  obs::Counter* ctrPlanCacheHits_ = nullptr;
   obs::Timer* maintenanceTimer_ = nullptr;
   std::vector<RefreshHierarchy> hierarchies_;  ///< per item
-  PlanCache planCache_;                        ///< per item current plan + keyed reuse
+  std::vector<ReplicationPlan> plans_;         ///< per item
   std::size_t maintenanceRuns_ = 0;
   std::size_t reparentCount_ = 0;
   std::size_t relayInjections_ = 0;
   std::size_t churnRepairs_ = 0;
-  std::size_t planCacheHits_ = 0;
-  std::size_t skippedItems_ = 0;
-  std::size_t recomputedItems_ = 0;
   std::function<bool(NodeId)> live_;
   std::function<double(NodeId)> nodeWeight_;
 
-  /// Versioned rate state. The snapshot matrix is refreshed in place at
-  /// every maintenance tick (dirty pairs only); rowVersion_[n] records the
-  /// global rateVersion_ at which node n's row last changed, so an item's
-  /// dependency version is the max over its member rows — equal versions
-  /// between two ticks prove the item's planning inputs are unchanged.
-  trace::RateMatrix rateSnapshot_;
-  /// True when the current tick declined to materialize the snapshot (dense
-  /// change or plan reuse disabled): periodic planning then reads the live
-  /// estimator — identical values, since the snapshot, when taken, holds
-  /// exactly the live estimator's rates at tick time.
-  bool planningLive_ = true;
-  std::uint64_t rateVersion_ = 0;
-  std::vector<std::uint64_t> rowVersion_;
-  std::vector<NodeId> changedNodes_;  ///< per-tick scratch from snapshotInto
-  cache::CentralityState centrality_;
-  std::size_t nclCount_ = 0;  ///< k used for NCL change detection
-  /// Per-item dependency rows (caching set ∪ source; fixed per run) and
-  /// incremental bookkeeping: structural revision, repair fixed-point flag,
-  /// and the (dep version, revision) the item was last maintained at.
-  std::vector<std::vector<NodeId>> itemDeps_;
-  std::vector<std::uint64_t> hierarchyRev_;
-  std::vector<char> repairSettled_;
-  std::vector<std::uint64_t> lastMaintDep_;
-  std::vector<std::uint64_t> lastMaintRev_;
-  std::vector<char> haveMaintState_;
-  bool fullMaintenance_ = false;
   /// (item, target, version) → relay copies already injected. Flat-store
   /// pattern: the packed key indexes a dense count vector through the
   /// open-addressing index (one probe per relay evaluation, no hash-map

@@ -16,21 +16,6 @@ double ReplicationPlan::predictedProbability(NodeId target) const {
   return predicted_[target];
 }
 
-bool ReplicationPlan::sameAs(const ReplicationPlan& other) const {
-  if (helpers_ != other.helpers_ || predicted_ != other.predicted_ ||
-      unmet_ != other.unmet_ || totalAssignments_ != other.totalAssignments_ ||
-      log_.size() != other.log_.size())
-    return false;
-  for (std::size_t i = 0; i < log_.size(); ++i) {
-    const Assignment& a = log_[i];
-    const Assignment& b = other.log_[i];
-    if (a.target != b.target || a.helper != b.helper ||
-        a.probabilityAfter != b.probabilityAfter)
-      return false;
-  }
-  return true;
-}
-
 ReplicationPlan planReplication(const RefreshHierarchy& hierarchy, const RateFn& rate,
                                 sim::SimTime tau, const ReplicationConfig& config,
                                 const PlanTrace& trace) {
@@ -105,7 +90,6 @@ ReplicationPlan planReplication(const RefreshHierarchy& hierarchy, const RateFn&
         assigned.push_back(c.node);
         contributions.push_back(c.contribution);
         combined = combinedRefreshProbability(chainP, contributions);
-        plan.log_.push_back({target, c.node, combined});
         DTNCACHE_EVENT(trace.tracer, obs::EventKind::kHelperAssign, trace.now,
                        {"item", trace.item}, {"target", target}, {"helper", c.node},
                        {"p", combined});

@@ -65,16 +65,6 @@ struct ReplicationConfig {
 /// most maxHelpersPerNode entries, with no hashing.
 class ReplicationPlan {
  public:
-  /// One greedy helper placement, in assignment order. The log lets a
-  /// cached plan be *replayed*: re-emitting the same `helper_assign` events
-  /// (with the combined probability as it stood after each add) without
-  /// recomputing the plan.
-  struct Assignment {
-    NodeId target = kNoNode;
-    NodeId helper = kNoNode;
-    double probabilityAfter = 0.0;  ///< combined P(refresh ≤ τ) after this add
-  };
-
   /// True if `refresher` must push fresh versions to `target` (helper edge;
   /// tree edges live in the hierarchy itself).
   bool isHelper(NodeId refresher, NodeId target) const {
@@ -96,14 +86,6 @@ class ReplicationPlan {
   /// no helper set can fix); empty when the requirement is met everywhere.
   const std::vector<NodeId>& unmetNodes() const { return unmet_; }
 
-  /// Every helper placement in the order the greedy pass made it.
-  const std::vector<Assignment>& assignmentLog() const { return log_; }
-
-  /// Deep equality over every observable field (helpers, predictions,
-  /// unmet set, assignment log) — the oracle check the full-maintenance
-  /// escape hatch runs against a cached plan.
-  bool sameAs(const ReplicationPlan& other) const;
-
  private:
   friend ReplicationPlan planReplication(const RefreshHierarchy&, const RateFn&,
                                          sim::SimTime, const ReplicationConfig&,
@@ -115,7 +97,6 @@ class ReplicationPlan {
   std::vector<std::vector<NodeId>> helpers_;  ///< indexed by target NodeId
   std::vector<double> predicted_;             ///< indexed by target; -1 = none
   std::vector<NodeId> unmet_;
-  std::vector<Assignment> log_;
   std::size_t totalAssignments_ = 0;
   static const std::vector<NodeId> kEmpty;
 };

@@ -48,9 +48,7 @@ void preregisterObservables(obs::Registry& registry) {
       "cache.install.evicted",   "cache.query.local_hit",  "cache.query.sprayed",
       "cache.reply.delivered",   "core.maintenance.runs",  "core.reparent.count",
       "core.relay.injected",     "core.churn.repairs",     "core.plan.helpers",
-      "core.plan.unmet",         "core.maintenance.dirty_pairs",
-      "core.maintenance.skipped", "core.plan.cache_hits",
-      "shard.fence_contacts",    "shard.boring_contacts",
+      "core.plan.unmet",         "shard.fence_contacts",   "shard.boring_contacts",
       "shard.fence_from_expired_only",
   };
   static const char* const kTimers[] = {"core.maintenance", "runner.start", "runner.run"};

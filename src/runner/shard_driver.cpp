@@ -61,7 +61,7 @@ ShardStats runSharded(sim::Simulator& sim, net::Network& network,
   const std::size_t contexts = K + 1;  // context 0 is the coordinator
   registry.enterShardMode(contexts);
   if (tracer != nullptr) tracer->enterShardMode(contexts);
-  estimator.enterShardMode(contexts, contacts, first, end);
+  estimator.enterShardMode(contacts, first, end);
   network.enterShardMode(contexts);
 
   // Fence contacts are executed by the coordinator; their owning worker must
@@ -268,7 +268,6 @@ ShardStats runSharded(sim::Simulator& sim, net::Network& network,
 
     if (fence >= 0) {
       handOff(static_cast<std::size_t>(fence), /*mustComplete=*/true);
-      estimator.drainShardDirty();
       const trace::Contact& c = contacts[static_cast<std::size_t>(fence)];
       sim::tlsShard.ctx = 0;
       sim::tlsShard.evTime = c.start;
@@ -280,9 +279,8 @@ ShardStats runSharded(sim::Simulator& sim, net::Network& network,
     } else if (haveQ && qscope == sim::EventScope::kShardLocal) {
       // Shard-local timer lane: the callback commutes with boring contacts
       // (the scheduler's EventScope promise), so run it concurrently with
-      // whatever the workers still hold — no quiesce, no dirty-sink drain
-      // (the merge sorts by key, so draining later is identical). This is
-      // what keeps timer-heavy schemes off the barrier.
+      // whatever the workers still hold — no quiesce. This is what keeps
+      // timer-heavy schemes off the barrier.
       handOff(scan, /*mustComplete=*/false);
       sim::tlsShard.ctx = 0;
       sim::tlsShard.evTime = qt;
@@ -292,7 +290,6 @@ ShardStats runSharded(sim::Simulator& sim, net::Network& network,
       ++stats.localTimerEvents;
     } else if (haveQ) {
       handOff(scan, /*mustComplete=*/true);
-      estimator.drainShardDirty();
       sim::tlsShard.ctx = 0;
       sim::tlsShard.evTime = qt;
       sim::tlsShard.evSeq = qs;

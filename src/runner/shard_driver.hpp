@@ -33,16 +33,14 @@
 ///      boring contact runs never shows in the output.
 ///   3. What happens next depends on the serial event's scope:
 ///      - fence contacts and kFence queue events: the coordinator quiesces
-///        every worker holding published work (acquire), drains the
-///        estimator's per-context dirty sinks in key order, then executes
-///        the event on context 0;
+///        every worker holding published work (acquire), then executes the
+///        event on context 0;
 ///      - kShardLocal queue events (sim::EventScope — scheme ticks whose
 ///        callbacks commute with boring contacts, classified by
 ///        cache::RefreshScheme::timerScope): the coordinator runs them
 ///        immediately, concurrently with whatever the workers still hold.
-///        No quiesce, no drain (the dirty-sink merge sorts by key, so
-///        draining later is identical); small hand-offs that cannot be
-///        stolen safely are simply deferred to the next hand-off.
+///        No quiesce; small hand-offs that cannot be stolen safely are
+///        simply deferred to the next hand-off.
 /// Because every state a worker reads is only written at fence-scoped serial
 /// points and every write lands in per-context or per-pair state merged in
 /// key order, the merged run is byte-identical to the single-threaded one at

@@ -6,9 +6,9 @@
 /// The sharded runner (runner/shard_driver.*) executes shard-local contacts
 /// on worker threads while every simulator-queue event runs on the
 /// coordinator between merge barriers. Shared observability sinks (counters,
-/// trace lines, metric ops, estimator dirty keys) cannot be written
-/// concurrently without either locks (slow, and lock order would perturb
-/// nothing — but contention would dominate) or per-thread buffers. This
+/// trace lines, metric ops) cannot be written concurrently without either
+/// locks (slow, and lock order would perturb nothing — but contention would
+/// dominate) or per-thread buffers. This
 /// context is the per-thread buffer selector: each instrumented component
 /// keeps one sink per context and folds them deterministically at merge
 /// time, keyed by the (time, sequence) tag of the event that produced each

@@ -112,66 +112,5 @@ TEST(AllocHook, SteadyStateContactsDoNotAllocate) {
   EXPECT_GT(rig.world.trace.contacts().size(), 100u);
 }
 
-TEST(AllocHook, WarmMaintenanceTickDoesNotAllocate) {
-  if (!obs::allocHookEnabled())
-    GTEST_SKIP() << "build with -DDTNCACHE_ALLOC_HOOK=ON to assert the contract";
-
-  // The steady-state maintenance tick is snapshot refresh + NCL change
-  // detection + a plan-cache probe per item. Once the bookkeeping is warm
-  // (snapshot primed, centrality cached, plans stored), a quiescent tick —
-  // no dirty pairs, stable EWMA estimates — must allocate nothing.
-  constexpr NodeId kNodes = 24;
-  trace::EstimatorConfig estCfg;
-  estCfg.mode = trace::EstimatorMode::kEwma;
-  trace::ContactRateEstimator estimator(kNodes, estCfg, 0.0);
-  for (NodeId i = 0; i < kNodes; ++i)
-    for (NodeId j = i + 1; j < kNodes; ++j) {
-      // Two contacts per pair: every EWMA estimate has an interval and is
-      // stable in `now` — the quiescent regime skips are made of.
-      estimator.recordContact(i, j, 5.0 * (i + j));
-      estimator.recordContact(i, j, 5.0 * (i + j) + 40.0 * (j - i));
-    }
-
-  trace::RateMatrix snapshot;
-  CentralityState centrality;
-  core::PlanCache plans;
-  plans.resize(4);
-  std::vector<NodeId> changed;
-  changed.reserve(kNodes);
-
-  // Warm everything once: prime the snapshot, the centrality cache, and
-  // store a keyed plan per item.
-  double now = sim::days(1);
-  estimator.snapshotInto(snapshot, now, &changed);
-  selectNcls(centrality, snapshot, sim::hours(1), 4, changed);
-  const core::PlanCache::Key key{1, 1, sim::hours(6)};
-  for (std::uint32_t item = 0; item < 4; ++item) {
-    core::HierarchyConfig hcfg;
-    hcfg.fanoutBound = 6;
-    auto h = core::RefreshHierarchy::build(
-        0, {}, [&](NodeId a, NodeId b) { return snapshot.rate(a, b); },
-        sim::hours(6), hcfg);
-    for (NodeId n = 1; n < 6; ++n) h.addMember(n, 0, 6);
-    plans.store(item, key,
-                core::planReplication(h, [&](NodeId a, NodeId b) { return snapshot.rate(a, b); },
-                                      sim::hours(6), core::ReplicationConfig{}));
-  }
-
-  const std::uint64_t before = obs::threadAllocCount();
-  std::size_t skippedTicks = 0;
-  for (int tick = 0; tick < 200; ++tick) {
-    now += sim::minutes(10);
-    const auto stats = estimator.snapshotInto(snapshot, now, &changed);
-    const bool nclMoved = selectNcls(centrality, snapshot, sim::hours(1), 4, changed);
-    std::size_t hits = 0;
-    for (std::uint32_t item = 0; item < 4; ++item)
-      if (plans.find(item, key) != nullptr) ++hits;
-    if (stats.changedPairs == 0 && !nclMoved && hits == 4) ++skippedTicks;
-  }
-  EXPECT_EQ(obs::threadAllocCount() - before, 0u)
-      << "warm maintenance ticks allocated";
-  EXPECT_EQ(skippedTicks, 200u);  // the loop really ran the quiescent path
-}
-
 }  // namespace
 }  // namespace dtncache::cache

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
-
-#include "sim/rng.hpp"
 
 namespace dtncache::cache {
 namespace {
@@ -80,112 +77,6 @@ TEST(Centrality, DeterministicUnderTies) {
   const auto a = selectNcls(m, 100.0, 3);
   const auto b = selectNcls(m, 100.0, 3);
   EXPECT_EQ(a, b);
-}
-
-// ---- Incremental CentralityState -------------------------------------------
-
-trace::RateMatrix randomMatrix(std::size_t n, sim::Rng& rng) {
-  trace::RateMatrix m(n);
-  for (NodeId i = 0; i < n; ++i)
-    for (NodeId j = i + 1; j < n; ++j)
-      if (rng.bernoulli(0.6)) m.setRate(i, j, rng.uniform(0.0, 0.05));
-  return m;
-}
-
-TEST(CentralityState, IncrementalMatchesBatchUnderRandomRowUpdates) {
-  // Mutate random rows between refreshes; the incrementally maintained
-  // capability vector and NCL set must stay bit-identical to the batch
-  // functions at every step — the equivalence the maintenance tick's
-  // NCL change-detection rests on.
-  constexpr std::size_t kNodes = 16;
-  constexpr double kWindow = 600.0;
-  constexpr std::size_t kK = 4;
-  sim::Rng rng(42);
-  auto m = randomMatrix(kNodes, rng);
-  CentralityState state;
-  std::vector<NodeId> changed;
-  bool moved = selectNcls(state, m, kWindow, kK, changed);
-  EXPECT_TRUE(moved);  // first call on an unprimed state always reports true
-  for (int round = 0; round < 40; ++round) {
-    changed.clear();
-    const int rows = static_cast<int>(rng.uniformInt(0, 3));
-    for (int r = 0; r < rows; ++r) {
-      const NodeId i = static_cast<NodeId>(rng.uniformInt(0, kNodes - 1));
-      NodeId j = static_cast<NodeId>(rng.uniformInt(0, kNodes - 2));
-      if (j >= i) ++j;
-      m.setRate(i, j, rng.uniform(0.0, 0.05));
-      changed.push_back(i);
-      changed.push_back(j);
-    }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-
-    const auto previous = state.ncls();
-    moved = selectNcls(state, m, kWindow, kK, changed);
-    const auto batchCap = contactCapability(m, kWindow);
-    const auto& incCap = state.capability();
-    ASSERT_EQ(incCap.size(), batchCap.size());
-    for (std::size_t i = 0; i < batchCap.size(); ++i)
-      ASSERT_EQ(incCap[i], batchCap[i]) << "node " << i << " round " << round;
-    EXPECT_EQ(state.ncls(), selectNcls(m, kWindow, kK)) << "round " << round;
-    EXPECT_EQ(moved, state.ncls() != previous) << "round " << round;
-  }
-}
-
-TEST(CentralityState, NoChangeShortCircuitReportsStableSet) {
-  const auto m = star(10, 0.01);
-  CentralityState state;
-  std::vector<NodeId> none;
-  EXPECT_TRUE(selectNcls(state, m, 100.0, 3, none));
-  const auto first = state.ncls();
-  // Primed + empty change list: skipped outright, nothing moved.
-  EXPECT_FALSE(selectNcls(state, m, 100.0, 3, none));
-  EXPECT_EQ(state.ncls(), first);
-}
-
-TEST(CentralityState, ParameterChangeForcesFullRederivation) {
-  sim::Rng rng(5);
-  const auto m = randomMatrix(12, rng);
-  CentralityState state;
-  std::vector<NodeId> none;
-  selectNcls(state, m, 100.0, 3, none);
-  // A different window invalidates every cached probability even with an
-  // empty change list.
-  selectNcls(state, m, 900.0, 3, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 3));
-  // Same for a different k...
-  selectNcls(state, m, 900.0, 5, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 5));
-  // ...and an explicit invalidate() must rebuild to the same answer.
-  state.invalidate();
-  EXPECT_FALSE(state.primed());
-  selectNcls(state, m, 900.0, 5, none);
-  EXPECT_EQ(state.ncls(), selectNcls(m, 900.0, 5));
-}
-
-TEST(CentralityState, IncrementalCapabilityOverloadMatchesBatch) {
-  sim::Rng rng(11);
-  auto m = randomMatrix(10, rng);
-  CentralityState state;
-  std::vector<NodeId> changed;
-  const auto& cap = contactCapability(state, m, 200.0, changed);
-  EXPECT_EQ(cap, contactCapability(m, 200.0));
-  m.setRate(2, 7, 0.04);
-  changed = {2, 7};
-  const auto& cap2 = contactCapability(state, m, 200.0, changed);
-  EXPECT_EQ(cap2, contactCapability(m, 200.0));
-
-  // A different sparse matrix of the same shape that no longer stores pair
-  // (2, 7): reporting both endpoints must drop the cached probability.
-  trace::RateMatrix before(10, trace::PairBackend::kSparse);
-  before.setRate(1, 3, 0.02);
-  before.setRate(2, 7, 0.04);
-  trace::RateMatrix after(10, trace::PairBackend::kSparse);
-  after.setRate(1, 3, 0.02);
-  CentralityState sparseState;
-  contactCapability(sparseState, before, 200.0, {});
-  EXPECT_EQ(contactCapability(sparseState, after, 200.0, changed),
-            contactCapability(after, 200.0));
 }
 
 }  // namespace
