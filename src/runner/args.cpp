@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace dtncache::runner {
 
@@ -17,14 +18,18 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
       continue;
     }
     const auto eq = arg.find('=');
+    std::string flag = arg;
+    std::string value;  // empty for a bare flag
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      flag = arg.substr(0, eq);
+      value = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[i + 1];
-      ++i;
-    } else {
-      values_[arg] = "";  // bare flag
+      value = argv[++i];
     }
+    // A repeated flag is an error, not a silent override: `--sweep=a=1
+    // --sweep=b=2` would otherwise run only the last axis.
+    if (!values_.emplace(flag, std::move(value)).second)
+      parseErrors_.push_back("flag given more than once: " + flag);
   }
 }
 

@@ -35,8 +35,9 @@ class ArgParser {
   /// flags over a loaded config file: only explicit flags override.)
   bool provided(const std::string& flag) const { return values_.count(flag) > 0; }
 
-  /// Flags supplied on the command line that no lookup claimed, plus
-  /// values that failed to parse. Call after all lookups.
+  /// Flags supplied on the command line that no lookup claimed, flags
+  /// supplied more than once, and values that failed to parse. Call after
+  /// all lookups.
   std::vector<std::string> errors() const;
 
   /// Usage text from the registered options.

@@ -46,6 +46,16 @@ TEST(Args, UnknownFlagReported) {
   EXPECT_NE(errors[0].find("--shceme"), std::string::npos);
 }
 
+TEST(Args, RepeatedFlagReported) {
+  auto p = parse({"--sweep=a=1", "--sweep", "b=2", "--csv", "--csv"});
+  EXPECT_EQ(p.getString("--sweep", "", "s"), "a=1");
+  EXPECT_TRUE(p.getBool("--csv", "c"));
+  const auto errors = p.errors();
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0], "flag given more than once: --sweep");
+  EXPECT_EQ(errors[1], "flag given more than once: --csv");
+}
+
 TEST(Args, BadNumberReported) {
   auto p = parse({"--tau=abc", "--count=1.5"});
   EXPECT_DOUBLE_EQ(p.getDouble("--tau", 3.0, "t"), 3.0);  // default on error
