@@ -88,7 +88,7 @@ void PeerSession::startHandshake() {
 
 void PeerSession::sendFrame(const FrameBody& frame) {
   if (state_ == State::kClosed) return;
-  writeQueue_.push(encodeFrame(frame));
+  writeQueue_.push_back(encodeFrame(frame));
   ++framesOut_;
   // Try an eager flush: most frames fit the socket buffer, and waiting for
   // the next poll round would add latency for nothing.
@@ -211,7 +211,7 @@ bool PeerSession::handleWritable() {
     bytesOut_ += static_cast<std::uint64_t>(n);
     writeOffset_ += static_cast<std::size_t>(n);
     if (writeOffset_ == head.size()) {
-      writeQueue_.popFront();
+      writeQueue_.pop_front();
       writeOffset_ = 0;
     }
   }

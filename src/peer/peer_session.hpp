@@ -2,8 +2,9 @@
 
 /// \file peer_session.hpp
 /// One TCP connection between two peer daemons: non-blocking connect /
-/// accept, stream reassembly into wire frames, and a pooled outbound frame
-/// queue — the live-transport counterpart of one simulated contact.
+/// accept, stream reassembly into wire frames, and a FIFO of encoded
+/// outbound frames — the live-transport counterpart of one simulated
+/// contact.
 ///
 /// Lifecycle: kConnecting (outbound only) → kHelloWait (both sides send a
 /// Hello immediately) → kEstablished (hellos validated; version vectors
@@ -14,14 +15,14 @@
 /// because the close may be reported from inside the session's own fd
 /// callback.
 ///
-/// The outbound queue follows the pooled-slot + intrusive-FIFO pattern of
-/// `net::MessageBuffer`: encoded frames live in recycled slots threaded
-/// into a FIFO list, so a busy session enqueues and drains without
-/// per-frame container churn. A malformed inbound stream (decodeFrame
+/// The outbound queue holds each encoded frame as its own buffer until the
+/// socket has taken all of it; TCP backpressure is handled by the write
+/// interest, not by a byte cap. A malformed inbound stream (decodeFrame
 /// kReject) closes the session — length framing is unrecoverable — and is
 /// reported with `wasReject = true` so the daemon can count it.
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -30,71 +31,6 @@
 #include "trace/contact.hpp"
 
 namespace dtncache::peer {
-
-/// Pending-write queue: encoded frames in pooled slots, FIFO order via
-/// intrusive links (the net::MessageBuffer idiom, minus byte caps — TCP
-/// backpressure is handled by the session's watermark instead).
-class FrameQueue {
- public:
-  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
-
-  void push(std::vector<std::uint8_t> frame) {
-    const std::uint32_t slot = allocSlot();
-    slots_[slot].bytes = std::move(frame);
-    linkTail(slot);
-    queuedBytes_ += slots_[slot].bytes.size();
-    ++size_;
-  }
-
-  bool empty() const { return head_ == kNil; }
-  std::size_t size() const { return size_; }
-  std::size_t queuedBytes() const { return queuedBytes_; }
-
-  const std::vector<std::uint8_t>& front() const { return slots_[head_].bytes; }
-
-  void popFront() {
-    const std::uint32_t slot = head_;
-    queuedBytes_ -= slots_[slot].bytes.size();
-    --size_;
-    head_ = slots_[slot].next;
-    if (head_ == kNil) tail_ = kNil;
-    slots_[slot].bytes.clear();
-    slots_[slot].bytes.shrink_to_fit();
-    freeSlots_.push_back(slot);
-  }
-
- private:
-  struct Slot {
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t next = kNil;
-  };
-
-  std::uint32_t allocSlot() {
-    if (!freeSlots_.empty()) {
-      const std::uint32_t slot = freeSlots_.back();
-      freeSlots_.pop_back();
-      return slot;
-    }
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-
-  void linkTail(std::uint32_t slot) {
-    slots_[slot].next = kNil;
-    if (tail_ != kNil)
-      slots_[tail_].next = slot;
-    else
-      head_ = slot;
-    tail_ = slot;
-  }
-
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> freeSlots_;
-  std::uint32_t head_ = kNil;
-  std::uint32_t tail_ = kNil;
-  std::size_t size_ = 0;
-  std::size_t queuedBytes_ = 0;
-};
 
 class PeerSession {
  public:
@@ -169,7 +105,7 @@ class PeerSession {
   bool outbound_ = false;
   NodeId peerNode_;
   std::vector<std::uint8_t> readBuffer_;
-  FrameQueue writeQueue_;
+  std::deque<std::vector<std::uint8_t>> writeQueue_;  ///< encoded frames, FIFO
   std::size_t writeOffset_ = 0;  ///< bytes of the head frame already sent
   EventLoop::TimerId helloTimer_ = 0;
   EventLoop::TimerId idleTimer_ = 0;
