@@ -81,6 +81,10 @@ struct SyntheticTraceConfig {
   double interContactAlpha = 2.0;
 
   std::uint64_t seed = 1;
+
+  /// Memberwise, so a field added above is part of the trace memo's key
+  /// (trace/trace_cache.hpp) without further edits.
+  bool operator==(const SyntheticTraceConfig&) const = default;
 };
 
 struct SyntheticTrace {

@@ -11,17 +11,6 @@ namespace dtncache::trace {
 
 namespace {
 
-bool sameConfig(const SyntheticTraceConfig& a, const SyntheticTraceConfig& b) {
-  return a.nodeCount == b.nodeCount && a.duration == b.duration && a.model == b.model &&
-         a.meanContactsPerPairPerDay == b.meanContactsPerPairPerDay &&
-         a.paretoShape == b.paretoShape && a.rateSpread == b.rateSpread &&
-         a.communities == b.communities && a.intraCommunityBoost == b.intraCommunityBoost &&
-         a.diurnal == b.diurnal && a.nightActivity == b.nightActivity &&
-         a.meanContactDuration == b.meanContactDuration && a.meanDegree == b.meanDegree &&
-         a.interCommunityFraction == b.interCommunityFraction &&
-         a.interContactAlpha == b.interContactAlpha && a.seed == b.seed;
-}
-
 struct Entry {
   SyntheticTraceConfig config;
   std::shared_ptr<const SyntheticTrace> trace;
@@ -53,7 +42,7 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   {
     std::lock_guard<std::mutex> lock(c.mu);
     for (Entry& e : c.entries) {
-      if (sameConfig(e.config, config)) {
+      if (e.config == config) {
         e.lastUse = ++c.clock;
         ++c.hits;
         return e.trace;
@@ -72,7 +61,7 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
 
   std::lock_guard<std::mutex> lock(c.mu);
   for (Entry& e : c.entries) {
-    if (sameConfig(e.config, config)) {
+    if (e.config == config) {
       e.lastUse = ++c.clock;
       return e.trace;
     }
