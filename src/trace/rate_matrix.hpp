@@ -57,7 +57,6 @@ class RateMatrix {
 
   std::size_t nodeCount() const { return pairs_.nodeCount(); }
   bool isSparse() const { return pairs_.isSparse(); }
-  PairBackend layout() const { return pairs_.layout(); }
   double defaultRate() const { return defaultRate_; }
 
   /// Pairs with a stored entry: every set pair in the sparse layout, the
