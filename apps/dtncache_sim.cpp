@@ -220,7 +220,8 @@ int main(int argc, char** argv) {
     row.printCsv(std::cout);
   } else {
     std::cout << "scheme: " << out.scheme << "   trace: "
-              << (external ? "external" : traceName) << " (" << out.traceStats.nodeCount
+              << (external ? "external" : runner::rateModelName(config.trace.model)) << " ("
+              << out.traceStats.nodeCount
               << " nodes, " << metrics::fmt(sim::toDays(out.traceStats.duration), 1)
               << " days, " << out.traceStats.contactCount << " contacts)\n\n";
     metrics::Table table({"metric", "value"});

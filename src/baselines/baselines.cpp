@@ -32,7 +32,9 @@ void EpidemicScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId 
 }
 
 void FloodingScheme::onStart(cache::CooperativeCache& cache) {
-  relay_.assign(cache.nodeCount(), {});
+  items_ = cache.catalog().size();
+  relay_.assign(cache.nodeCount() * items_, kNoRelay);
+  relayCount_.assign(cache.nodeCount(), 0);
 }
 
 void FloodingScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId b,
@@ -40,8 +42,8 @@ void FloodingScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId 
   const std::size_t items = cache.catalog().size();
   auto effectiveVersion = [&](NodeId n, data::ItemId item) -> std::optional<data::Version> {
     auto held = cache.heldVersion(n, item, t);
-    const auto it = relay_[n].find(item);
-    if (it != relay_[n].end() && (!held || it->second > *held)) return it->second;
+    const data::Version relay = relay_[n * items_ + item];
+    if (relay != kNoRelay && (!held || relay > *held)) return relay;
     return held;
   };
   auto push = [&](NodeId from, NodeId to, data::ItemId item, data::Version v) {
@@ -53,7 +55,9 @@ void FloodingScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId 
     // Non-member: keep a relay copy. Same bytes on the air.
     const std::uint32_t bytes = net::kHeaderBytes + cache.catalog().spec(item).sizeBytes;
     if (!channel.transfer(net::Traffic::kRefresh, bytes, from)) return;
-    relay_[to][item] = v;
+    data::Version& slot = relay_[to * items_ + item];
+    if (slot == kNoRelay) ++relayCount_[to];
+    slot = v;
   };
 
   for (data::ItemId item = 0; item < items; ++item) {
@@ -68,12 +72,14 @@ void FloodingScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId 
 
 std::size_t FloodingScheme::relayCopies() const {
   std::size_t n = 0;
-  for (const auto& m : relay_) n += m.size();
+  for (const std::uint32_t count : relayCount_) n += count;
   return n;
 }
 
 void PullScheme::onStart(cache::CooperativeCache& cache) {
   DTNCACHE_CHECK(config_.checkPeriod > 0.0);
+  outstanding_.assign(cache.nodeCount() * cache.catalog().size(),
+                      -std::numeric_limits<sim::SimTime>::infinity());
   cache.simulator().schedulePeriodic(
       config_.checkPeriod, [this, &cache](sim::SimTime t) { checkAges(cache, t); },
       config_.checkPeriod);
@@ -88,11 +94,8 @@ void PullScheme::checkAges(cache::CooperativeCache& cache, sim::SimTime t) {
       const cache::CacheEntry* e = cache.storeOf(n).find(item);
       if (e == nullptr || t - e->receivedAt < trigger) continue;
 
-      const std::uint64_t key =
-          static_cast<std::uint64_t>(n) * items + item;
-      if (const auto it = outstanding_.find(key);
-          it != outstanding_.end() && it->second > t)
-        continue;  // a pull is already in flight
+      sim::SimTime& outstanding = outstanding_[static_cast<std::size_t>(n) * items + item];
+      if (outstanding > t) continue;  // a pull is already in flight
 
       net::Message m;
       m.kind = net::MessageKind::kPull;
@@ -103,31 +106,23 @@ void PullScheme::checkAges(cache::CooperativeCache& cache, sim::SimTime t) {
       m.deadline = t + config_.pullTtl;
       m.copiesLeft = cache.config().forwarding.initialCopies;
       cache.injectMessage(n, m, t);
-      outstanding_[key] = m.deadline;
+      outstanding = m.deadline;
       ++pullsIssued_;
     }
   }
 }
 
 void InvalidationScheme::onStart(cache::CooperativeCache& cache) {
-  known_.assign(cache.nodeCount(),
-                std::vector<data::Version>(cache.catalog().size(), 0));
-}
-
-data::Version InvalidationScheme::knownVersion(NodeId n, data::ItemId item) const {
-  return known_[n][item];
+  items_ = cache.catalog().size();
+  known_.assign(cache.nodeCount() * items_, 0);
+  outstanding_.assign(cache.nodeCount() * items_,
+                      -std::numeric_limits<sim::SimTime>::infinity());
 }
 
 void InvalidationScheme::maybePull(cache::CooperativeCache& cache, NodeId n,
                                    data::ItemId item, sim::SimTime t) {
-  if (!cache.isCachingNode(n, item)) return;
-  const auto held = cache.heldVersion(n, item, t);
-  if (held && *held >= known_[n][item]) return;  // copy is as new as rumor
-
-  const std::uint64_t key =
-      static_cast<std::uint64_t>(n) * cache.catalog().size() + item;
-  if (const auto it = outstanding_.find(key); it != outstanding_.end() && it->second > t)
-    return;
+  const std::size_t slot = n * items_ + item;
+  if (outstanding_[slot] > t) return;
 
   net::Message m;
   m.kind = net::MessageKind::kPull;
@@ -138,7 +133,7 @@ void InvalidationScheme::maybePull(cache::CooperativeCache& cache, NodeId n,
   m.deadline = t + config_.pullTtl;
   m.copiesLeft = cache.config().forwarding.initialCopies;
   cache.injectMessage(n, m, t);
-  outstanding_[key] = m.deadline;
+  outstanding_[slot] = m.deadline;
   ++pullsIssued_;
 }
 
@@ -154,16 +149,22 @@ void InvalidationScheme::onContact(cache::CooperativeCache& cache, NodeId a, Nod
   for (data::ItemId item = 0; item < items; ++item) {
     // Each side's knowledge: rumors heard + what it actually holds (the
     // source always knows the live version).
-    data::Version ka = known_[a][item];
-    if (const auto held = cache.heldVersion(a, item, t)) ka = std::max(ka, *held);
-    data::Version kb = known_[b][item];
-    if (const auto held = cache.heldVersion(b, item, t)) kb = std::max(kb, *held);
-    const data::Version merged = std::max(ka, kb);
-    known_[a][item] = merged;
-    known_[b][item] = merged;
+    data::Version& knownA = known_[a * items_ + item];
+    data::Version& knownB = known_[b * items_ + item];
+    const auto heldA = cache.heldVersion(a, item, t);
+    const auto heldB = cache.heldVersion(b, item, t);
+    const data::Version merged =
+        std::max(heldA ? std::max(knownA, *heldA) : knownA,
+                 heldB ? std::max(knownB, *heldB) : knownB);
+    knownA = merged;
+    knownB = merged;
 
-    maybePull(cache, a, item, t);
-    maybePull(cache, b, item, t);
+    // A caching node whose copy is older than the rumor pulls. Neither
+    // pull touches a store, so the versions read above still hold.
+    if (cache.isCachingNode(a, item) && !(heldA && *heldA >= merged))
+      maybePull(cache, a, item, t);
+    if (cache.isCachingNode(b, item) && !(heldB && *heldB >= merged))
+      maybePull(cache, b, item, t);
   }
 }
 

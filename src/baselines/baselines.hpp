@@ -30,7 +30,7 @@
 ///                 as fast as flooding detects it, but the heavy data
 ///                 still has to travel on demand.
 
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "cache/coop_cache.hpp"
@@ -68,15 +68,20 @@ class FloodingScheme : public cache::RefreshScheme {
 
   /// A node carrying relay copies can hand them over on any contact.
   bool contactActive(NodeId n) const override {
-    return n < relay_.size() && !relay_[n].empty();
+    return n < relayCount_.size() && relayCount_[n] != 0;
   }
 
   /// Relay copies held outside caches (diagnostics).
   std::size_t relayCopies() const;
 
  private:
-  /// relay_[node][item] = newest version this non-holder node carries.
-  std::vector<std::unordered_map<data::ItemId, data::Version>> relay_;
+  static constexpr data::Version kNoRelay = std::numeric_limits<data::Version>::max();
+
+  std::size_t items_ = 0;
+  /// Newest version a non-holder carries, at node · items + item; kNoRelay
+  /// where it carries none.
+  std::vector<data::Version> relay_;
+  std::vector<std::uint32_t> relayCount_;  ///< per node: items it carries
 };
 
 struct PullConfig {
@@ -104,8 +109,9 @@ class PullScheme : public cache::RefreshScheme {
   void checkAges(cache::CooperativeCache& cache, sim::SimTime t);
 
   PullConfig config_;
-  /// (node, item) → absolute expiry of the outstanding pull, to rate-limit.
-  std::unordered_map<std::uint64_t, sim::SimTime> outstanding_;
+  /// Deadline of the node's outstanding pull for the item, at node · items +
+  /// item (-inf when none), to rate-limit.
+  std::vector<sim::SimTime> outstanding_;
   std::size_t pullsIssued_ = 0;
 };
 
@@ -129,16 +135,22 @@ class InvalidationScheme : public cache::RefreshScheme {
 
   std::size_t pullsIssued() const { return pullsIssued_; }
   /// Highest version node `n` has *heard of* for `item` (diagnostics).
-  data::Version knownVersion(NodeId n, data::ItemId item) const;
+  data::Version knownVersion(NodeId n, data::ItemId item) const {
+    return known_[n * items_ + item];
+  }
 
  private:
+  /// Pull `item` for caching node `n`, which has heard of a newer version
+  /// than it holds, unless a pull of its own is outstanding.
   void maybePull(cache::CooperativeCache& cache, NodeId n, data::ItemId item,
                  sim::SimTime t);
 
   InvalidationConfig config_;
-  /// known_[node][item]: newest version number the node has heard of.
-  std::vector<std::vector<data::Version>> known_;
-  std::unordered_map<std::uint64_t, sim::SimTime> outstanding_;
+  std::size_t items_ = 0;
+  /// At node · items + item: the newest version number the node has heard
+  /// of, and the deadline of its outstanding pull (-inf when none).
+  std::vector<data::Version> known_;
+  std::vector<sim::SimTime> outstanding_;
   std::size_t pullsIssued_ = 0;
 };
 

@@ -14,8 +14,8 @@
 /// slot, and LRU order is an intrusive doubly-linked list threaded through
 /// the slots. find/insert/recordAccess are O(1) with no per-entry heap
 /// nodes, and eviction pops the list head instead of scanning for the
-/// minimum timestamp — the store appears in every contact handshake and
-/// every query, so these are among the hottest ops in a simulation.
+/// minimum timestamp. Contact-path reads go to CooperativeCache's flat
+/// held-copy table instead; the store serves installs, queries and scans.
 
 #include <limits>
 #include <optional>

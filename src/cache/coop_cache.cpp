@@ -21,7 +21,8 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
       estimator_(estimator),
       collector_(collector),
       config_(config),
-      nodeCount_(network.nodeCount()) {
+      nodeCount_(network.nodeCount()),
+      itemCount_(catalog.size()) {
   DTNCACHE_CHECK(nodeCount_ >= 2);
   DTNCACHE_CHECK(!catalog_.empty());
 
@@ -41,6 +42,7 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
   DTNCACHE_CHECK_MSG(maxSetSize < nodeCount_,
                      "need at least one non-caching node as the source");
 
+  held_.resize(nodeCount_ * itemCount_);
   stores_.reserve(nodeCount_);
   buffers_.reserve(nodeCount_);
   for (std::size_t i = 0; i < nodeCount_; ++i) {
@@ -190,11 +192,6 @@ void CooperativeCache::injectMessage(NodeId at, net::Message m, sim::SimTime now
   buffers_[at].add(m, now);
 }
 
-CacheStore& CooperativeCache::storeOf(NodeId n) {
-  DTNCACHE_CHECK(n < nodeCount_);
-  return stores_[n];
-}
-
 const CacheStore& CooperativeCache::storeOf(NodeId n) const {
   DTNCACHE_CHECK(n < nodeCount_);
   return stores_[n];
@@ -226,16 +223,21 @@ double CooperativeCache::validFraction(sim::SimTime t) const {
 
 void CooperativeCache::installCopy(NodeId at, data::ItemId item, data::Version v,
                                    sim::SimTime t) {
-  const auto result = stores_[at].insert(item, v, catalog_.spec(item).sizeBytes, t,
-                                         catalog_.clock(item).expiryTime(v));
+  const sim::SimTime expiresAt = catalog_.clock(item).expiryTime(v);
+  const auto result =
+      stores_[at].insert(item, v, catalog_.spec(item).sizeBytes, t, expiresAt);
+  // held_ follows the store: the new or upgraded copy first, then every
+  // victim (an upgrade that outgrows the cache may evict the item itself).
   switch (result.kind) {
     case InsertResult::Kind::kInserted:
+      held_[heldSlot(at, item)] = HeldCopy{v, expiresAt};
       collector_.copyInstalled(item, v, t);
       if (ctrInstallInserted_ != nullptr) ctrInstallInserted_->add();
       DTNCACHE_EVENT(tracer_, obs::EventKind::kInstall, t, {"at", at}, {"item", item},
                      {"version", v}, {"how", "insert"});
       break;
     case InsertResult::Kind::kUpgraded:
+      held_[heldSlot(at, item)] = HeldCopy{v, expiresAt};
       collector_.copyUpgraded(item, result.previousVersion, v, t);
       if (ctrInstallUpgraded_ != nullptr) ctrInstallUpgraded_->add();
       DTNCACHE_EVENT(tracer_, obs::EventKind::kInstall, t, {"at", at}, {"item", item},
@@ -246,6 +248,7 @@ void CooperativeCache::installCopy(NodeId at, data::ItemId item, data::Version v
       break;
   }
   for (const CacheEntry& victim : result.evicted) {
+    held_[heldSlot(at, victim.item)] = HeldCopy{};
     collector_.copyEvicted(victim.item, victim.version, t);
     if (ctrInstallEvicted_ != nullptr) ctrInstallEvicted_->add();
   }
@@ -375,9 +378,8 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
 }
 
 bool CooperativeCache::canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const {
-  if (node == sourceOf(item)) return true;
-  const CacheEntry* e = stores_[node].find(item);
-  return e != nullptr && catalog_.clock(item).isValid(e->version, t);
+  // held_'s expiresAt is the clock's expiryTime, so this is its isValid test.
+  return node == sourceOf(item) || t < held_[heldSlot(node, item)].expiresAt;
 }
 
 void CooperativeCache::makeReply(NodeId answerer, const net::Message& query, sim::SimTime t) {

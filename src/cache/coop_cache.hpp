@@ -18,6 +18,7 @@
 /// One CooperativeCache instance = one simulation run.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -88,7 +89,8 @@ class CooperativeCache {
 
   /// Version of `item` node `n` can currently provide: the live version for
   /// the source, the cached version for a holder, nullopt otherwise. Every
-  /// scheme reads it for every item at every contact, so it is inline.
+  /// scheme reads it for every item at every contact, so it is inline and
+  /// one indexed load into the held-copy table.
   std::optional<data::Version> heldVersion(NodeId n, data::ItemId item, sim::SimTime t) const {
     const data::VersionClock& clock = catalog_.clock(item);
     if (n == clock.spec().source) return clock.currentVersion(t);
@@ -96,11 +98,24 @@ class CooperativeCache {
     // any valid version — constant lifetime) could never win a push, so it
     // is not a version the node "can provide". Filtering it here keeps
     // heldVersion consistent with the activity fence, which classifies
-    // expired-only holders as inert. installCopy stores exactly
+    // expired-only holders as inert. installCopy records exactly
     // clock.expiryTime(v), so `t < expiresAt` is the clock's isValid test.
-    if (const CacheEntry* e = stores_[n].find(item); e != nullptr && t < e->expiresAt)
-      return e->version;
+    const HeldCopy& c = held_[heldSlot(n, item)];
+    if (t < c.expiresAt) return c.version;
     return std::nullopt;
+  }
+
+  /// Can `node` answer a query for `item` at `t`: is it the source, or does
+  /// it hold a copy still valid at `t`?
+  bool canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const;
+
+  /// True iff heldVersion(n, item, t) has a value for some item: `n` is a
+  /// source or holds an unexpired copy. O(1) through the store's expiry
+  /// watermark. Neither endpoint of a contact the sharded kernel runs on a
+  /// worker thread passes it, so a scheme that checks it first reads no
+  /// planning state on those contacts.
+  bool providesAny(NodeId n, sim::SimTime t) const {
+    return sourceNode_.test(n) || stores_[n].hasUnexpired(t);
   }
 
   /// Move the newest version `from` holds to `to` (a caching node of the
@@ -151,7 +166,6 @@ class CooperativeCache {
   metrics::MetricsCollector& collector() { return collector_; }
   const CoopCacheConfig& config() const { return config_; }
   std::size_t nodeCount() const { return nodeCount_; }
-  CacheStore& storeOf(NodeId n);
   const CacheStore& storeOf(NodeId n) const;
   net::MessageBuffer& bufferOf(NodeId n);
   const net::MessageBuffer& bufferOf(NodeId n) const;
@@ -201,11 +215,11 @@ class CooperativeCache {
   /// opened for this contact. Returns whether the pass moved any bytes:
   /// every state change it makes follows a successful transfer.
   bool forwardBuffered(NodeId from, NodeId to, sim::SimTime t, net::ContactChannel& channel);
-  /// Can `node` answer a query for `item` right now with a valid copy?
-  bool canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const;
   void makeReply(NodeId answerer, const net::Message& query, sim::SimTime t);
   void deliverReply(const net::Message& reply, sim::SimTime t);
   /// Install a copy into a caching node's store, reporting to metrics.
+  /// The only place copies enter or leave stores_, and the only writer of
+  /// held_.
   void installCopy(NodeId at, data::ItemId item, data::Version v, sim::SimTime t);
   /// Best estimated rate from `from` to the item's source or any of its
   /// caching nodes: the utility a query copy is sprayed by.
@@ -218,6 +232,16 @@ class CooperativeCache {
   std::uint64_t answeredKey(data::QueryId q, NodeId n) const {
     return q * static_cast<std::uint64_t>(nodeCount_) + n;
   }
+  std::size_t heldSlot(NodeId n, data::ItemId item) const {
+    return static_cast<std::size_t>(n) * itemCount_ + item;
+  }
+
+  /// What a node's store holds of one item: the cached version and the
+  /// instant it stops being valid; expiresAt is -inf while nothing is held.
+  struct HeldCopy {
+    data::Version version = 0;
+    sim::SimTime expiresAt = -std::numeric_limits<sim::SimTime>::infinity();
+  };
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -226,9 +250,14 @@ class CooperativeCache {
   metrics::MetricsCollector& collector_;
   CoopCacheConfig config_;
   std::size_t nodeCount_;
+  std::size_t itemCount_;
 
   RefreshScheme* scheme_ = nullptr;
   std::vector<CacheStore> stores_;
+  /// Mirror of stores_ at slot heldSlot(n, item), 16 B per (node, item), so
+  /// heldVersion and canAnswer are an indexed load instead of a store probe.
+  /// installCopy writes it beside every store change.
+  std::vector<HeldCopy> held_;
   std::vector<net::MessageBuffer> buffers_;
   std::vector<NodeId> centralOrder_;
   std::vector<std::vector<NodeId>> cachingNodes_;  ///< per item

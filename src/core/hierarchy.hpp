@@ -61,18 +61,13 @@ class RefreshHierarchy {
   std::size_t depthOf(NodeId n) const;  ///< root = 0
   std::size_t maxDepth() const;
 
-  /// Is `refresher` responsible for refreshing `target` (tree edge)?
-  bool isResponsible(NodeId refresher, NodeId target) const {
-    return parentOf(target) == refresher;
-  }
-
   /// Contact rates along the path root → n (planning-time analysis input).
   std::vector<double> chainRates(NodeId n, const RateFn& rate) const;
 
   /// All nodes except the root, in breadth-first (level) order with each
   /// level's siblings sorted by id. Computed lazily and cached until the
-  /// next structural mutation — schemes walk this list on every contact, so
-  /// rebuilding the BFS each call dominated their planning cost. The
+  /// next structural mutation — planning walks this list once per
+  /// candidate, so rebuilding the BFS each call dominated its cost. The
   /// reference stays valid across reads; a mutation only marks the cache
   /// stale (it is rebuilt on the *next* call), so a loop over the returned
   /// list that ends in a repair operation is safe.
@@ -104,8 +99,7 @@ class RefreshHierarchy {
  private:
   /// Node records live in a vector indexed directly by NodeId — ids are
   /// dense and small (they index the trace's node table), so membership is
-  /// a flag test and parent/children lookups are one indexed load. The
-  /// schemes call parentOf/childrenOf per item per contact; the old
+  /// a flag test and parent/children lookups are one indexed load; the old
   /// hash-map storage made those lookups the hottest code in planning.
   struct NodeInfo {
     NodeId parent = kNoNode;

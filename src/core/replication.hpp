@@ -60,9 +60,9 @@ struct ReplicationConfig {
 ///
 /// Storage is dense by NodeId (node ids index the trace's node table, so
 /// the vectors are small): helper lists and predictions are one indexed
-/// load, and isHelper — which the schemes evaluate for every (member,
-/// member) pair at every contact — is an indexed load plus a scan of at
-/// most maxHelpersPerNode entries, with no hashing.
+/// load, and isHelper — evaluated for every (member, member) pair when a
+/// push table is built — is an indexed load plus a scan of at most
+/// maxHelpersPerNode entries, with no hashing.
 class ReplicationPlan {
  public:
   /// True if `refresher` must push fresh versions to `target` (helper edge;

@@ -9,6 +9,16 @@
 namespace dtncache::runner {
 namespace {
 
+const std::vector<std::pair<trace::RateModel, std::string>>& rateModelNames() {
+  static const std::vector<std::pair<trace::RateModel, std::string>> names = {
+      {trace::RateModel::kHomogeneous, "homogeneous"},
+      {trace::RateModel::kPareto, "pareto"},
+      {trace::RateModel::kCommunity, "community"},
+      {trace::RateModel::kMobilityCommunity, "mobility-community"},
+      {trace::RateModel::kMobilityPowerLaw, "mobility-powerlaw"}};
+  return names;
+}
+
 const std::vector<std::pair<SchemeKind, std::string>>& schemeNames() {
   static const std::vector<std::pair<SchemeKind, std::string>> names = {
       {SchemeKind::kHierarchical, "hierarchical"}, {SchemeKind::kNoRefresh, "norefresh"},
@@ -22,13 +32,7 @@ void bindAll(const FieldBinder& b, ExperimentConfig& c) {
   // trace
   b.numeric("trace.nodeCount", c.trace.nodeCount);
   b.numeric("trace.durationSeconds", c.trace.duration);
-  b.enumeration<trace::RateModel>(
-      "trace.model", c.trace.model,
-      {{trace::RateModel::kHomogeneous, "homogeneous"},
-       {trace::RateModel::kPareto, "pareto"},
-       {trace::RateModel::kCommunity, "community"},
-       {trace::RateModel::kMobilityCommunity, "mobility-community"},
-       {trace::RateModel::kMobilityPowerLaw, "mobility-powerlaw"}});
+  b.enumeration<trace::RateModel>("trace.model", c.trace.model, rateModelNames());
   b.numeric("trace.meanContactsPerPairPerDay", c.trace.meanContactsPerPairPerDay);
   b.numeric("trace.paretoShape", c.trace.paretoShape);
   b.numeric("trace.rateSpread", c.trace.rateSpread);
@@ -111,6 +115,13 @@ void bindAll(const FieldBinder& b, ExperimentConfig& c) {
 }
 
 }  // namespace
+
+const std::string& rateModelName(trace::RateModel model) {
+  for (const auto& [value, name] : rateModelNames())
+    if (value == model) return name;
+  DTNCACHE_CHECK_MSG(false, "unnamed trace model");
+  return rateModelNames().front().second;
+}
 
 std::string dumpConfig(const ExperimentConfig& config) {
   std::ostringstream out;

@@ -34,6 +34,9 @@ ExperimentConfig loadConfig(const std::string& json);
 /// patches just that knob). Same key set and validation as loadConfig.
 void applyConfigJson(ExperimentConfig& config, const std::string& json);
 
+/// The `trace.model` name of a rate model, as dumped and loaded.
+const std::string& rateModelName(trace::RateModel model);
+
 ExperimentConfig loadConfigFile(const std::string& path);
 void saveConfigFile(const ExperimentConfig& config, const std::string& path);
 

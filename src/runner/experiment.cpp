@@ -78,25 +78,27 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
   }
   const trace::SyntheticTrace& world = *worldShared;
 
-  // Estimator, pre-fed with a warm-up trace at negative times.
-  trace::ContactRateEstimator estimator(world.trace.nodeCount(), config.estimator,
-                                        -config.estimatorWarmup);
-  if (config.estimatorWarmup > 0.0) {
-    if (config.externalTrace != nullptr) {
-      for (const auto& c : world.trace.contacts()) {
-        if (c.start >= config.estimatorWarmup) break;
-        estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
-      }
-    } else {
+  // Estimator, pre-fed with a warm-up trace at negative times. A generated
+  // warm-up trace is replayed once per (trace, estimator) and copied here:
+  // every scheme arm of a sweep cell warms up identically.
+  trace::ContactRateEstimator estimator = [&] {
+    if (config.estimatorWarmup > 0.0 && config.externalTrace == nullptr) {
       trace::SyntheticTraceConfig warmCfg = traceCfg;
       warmCfg.duration = config.estimatorWarmup;
       warmCfg.seed = traceCfg.seed + 777;
-      const auto warmShared = trace::generateShared(warmCfg);
-      const trace::SyntheticTrace& warm = *warmShared;
-      for (const auto& c : warm.trace.contacts())
-        estimator.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
+      return *trace::warmedEstimatorShared(warmCfg, world.trace.nodeCount(),
+                                           config.estimator, config.estimatorWarmup);
     }
-  }
+    trace::ContactRateEstimator fresh(world.trace.nodeCount(), config.estimator,
+                                      -config.estimatorWarmup);
+    if (config.estimatorWarmup > 0.0) {
+      for (const auto& c : world.trace.contacts()) {
+        if (c.start >= config.estimatorWarmup) break;
+        fresh.recordContact(c.a, c.b, c.start - config.estimatorWarmup);
+      }
+    }
+    return fresh;
+  }();
 
   // --- substrate --------------------------------------------------------------
   data::CatalogConfig catalogCfg = config.catalog;

@@ -45,6 +45,8 @@ struct EstimatorConfig {
   /// Pair-state layout: dense triangle, sparse observed-pair table, or
   /// size-based auto selection (trace/pair_index.hpp).
   PairBackend backend = PairBackend::kAuto;
+
+  bool operator==(const EstimatorConfig&) const = default;
 };
 
 class ContactRateEstimator {

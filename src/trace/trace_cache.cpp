@@ -11,10 +11,21 @@ namespace dtncache::trace {
 
 namespace {
 
+/// An estimator warmed over an entry's trace, with the inputs it was
+/// warmed for.
+struct Warmed {
+  std::size_t nodeCount = 0;
+  EstimatorConfig config;
+  sim::SimTime warmup = 0.0;
+  bool sparse = false;
+  std::shared_ptr<const ContactRateEstimator> estimator;
+};
+
 struct Entry {
   SyntheticTraceConfig config;
   std::shared_ptr<const SyntheticTrace> trace;
   std::uint64_t lastUse = 0;
+  std::vector<Warmed> warmed;
 };
 
 struct Cache {
@@ -72,7 +83,7 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
       if (c.entries[i].lastUse < c.entries[victim].lastUse) victim = i;
     c.entries.erase(c.entries.begin() + static_cast<std::ptrdiff_t>(victim));
   }
-  c.entries.push_back(Entry{config, fresh, ++c.clock});
+  c.entries.push_back(Entry{config, fresh, ++c.clock, {}});
   return fresh;
 }
 
@@ -203,6 +214,46 @@ void clearExternalTraceCache() {
   c.clock = 0;
   c.hits = 0;
   c.misses = 0;
+}
+
+std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
+    const SyntheticTraceConfig& warmConfig, std::size_t nodeCount,
+    const EstimatorConfig& estimator, sim::SimTime warmup) {
+  const std::shared_ptr<const SyntheticTrace> trace = generateShared(warmConfig);
+  // The layout is part of the key: the DTNCACHE_SPARSE_PAIRS override is
+  // read whenever a pair structure is built.
+  const bool sparse = useSparsePairs(nodeCount, estimator.backend);
+  const auto matches = [&](const Warmed& w) {
+    return w.nodeCount == nodeCount && w.config == estimator && w.warmup == warmup &&
+           w.sparse == sparse;
+  };
+  // The entry holding this very trace, if it is still cached.
+  const auto entryOf = [&](Cache& c) -> Entry* {
+    for (Entry& e : c.entries)
+      if (e.trace == trace) return &e;
+    return nullptr;
+  };
+  Cache& c = cache();
+  {
+    std::lock_guard<std::mutex> lock(c.mu);
+    if (Entry* e = entryOf(c); e != nullptr)
+      for (const Warmed& w : e->warmed)
+        if (matches(w)) return w.estimator;
+  }
+
+  // Replay outside the lock (racing duplicates are identical, as above).
+  auto fresh = std::make_shared<ContactRateEstimator>(nodeCount, estimator, -warmup);
+  for (const Contact& contact : trace->trace.contacts())
+    fresh->recordContact(contact.a, contact.b, contact.start - warmup);
+  std::shared_ptr<const ContactRateEstimator> result = std::move(fresh);
+
+  std::lock_guard<std::mutex> lock(c.mu);
+  Entry* e = entryOf(c);
+  if (e == nullptr) return result;  // the trace was evicted meanwhile: keep nothing
+  for (const Warmed& w : e->warmed)
+    if (matches(w)) return w.estimator;
+  e->warmed.push_back(Warmed{nodeCount, estimator, warmup, sparse, result});
+  return result;
 }
 
 TraceCacheStats traceCacheStats() {

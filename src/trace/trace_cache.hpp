@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "trace/estimator.hpp"
 #include "trace/generators.hpp"
 
 namespace dtncache::trace {
@@ -35,8 +36,21 @@ struct TraceCacheStats {
 /// Counters since process start (or the last clearTraceCache()).
 TraceCacheStats traceCacheStats();
 
-/// Drop all cached traces and reset the stats (tests).
+/// Drop all cached traces, with the estimators warmed over them, and reset
+/// the stats.
 void clearTraceCache();
+
+/// An `nodeCount`-node estimator started at -`warmup` and fed every contact
+/// of the trace generateShared(`warmConfig`) makes, each shifted by
+/// -`warmup`: the estimator warm-up of runExperiment. The result depends
+/// only on the trace, the node count, the estimator config, the warm-up
+/// length and the pair layout those resolve to, so it is memoized inside
+/// the trace's cache entry under that key and dropped with the entry.
+/// Every scheme arm of a sweep cell replays the same warm-up; callers copy
+/// the shared estimator instead. Thread-safe.
+std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
+    const SyntheticTraceConfig& warmConfig, std::size_t nodeCount,
+    const EstimatorConfig& estimator, sim::SimTime warmup);
 
 /// Memoized adoption of a caller-owned external (replayed) trace: copies
 /// the trace and fits its MLE rate matrix once, then reuses the result for

@@ -59,6 +59,111 @@ struct Rig {
   sim::SimTime horizon;
 };
 
+/// Four nodes on a hand-written contact schedule: node 0 is the source of
+/// the one item (a version every 100 s, valid for 200 s), node 1 is its
+/// only caching node, and nodes 2 and 3 are plain carriers.
+struct HandRig {
+  HandRig(cache::RefreshScheme& scheme, std::vector<trace::Contact> contacts)
+      : trace(4, std::move(contacts)),
+        catalog(makeCatalog()),
+        estimator(4, {}, 0.0),
+        network(simulator, trace),
+        collector(catalog, 0.0),
+        coop(simulator, network, catalog, estimator, collector, planningRates(),
+             cacheConfig()) {
+    sources = std::make_unique<data::SourceProcess>(simulator, catalog, kHorizon);
+    coop.setScheme(&scheme);
+    coop.start(*sources, nullptr, kHorizon);
+  }
+
+  static constexpr sim::SimTime kHorizon = 1000.0;
+  static data::Catalog makeCatalog() {
+    data::ItemSpec s;
+    s.sizeBytes = 1000;
+    s.refreshPeriod = 100.0;
+    s.lifetime = 200.0;
+    return data::Catalog({s});
+  }
+  static trace::RateMatrix planningRates() {
+    trace::RateMatrix m(4);
+    m.setRate(1, 0, 0.10);
+    m.setRate(1, 2, 0.10);
+    m.setRate(1, 3, 0.10);
+    return m;  // node 1 is the most central non-source node
+  }
+  static cache::CoopCacheConfig cacheConfig() {
+    cache::CoopCacheConfig c;
+    c.cachingNodesPerItem = 1;
+    return c;
+  }
+
+  sim::Simulator simulator;
+  trace::ContactTrace trace;
+  data::Catalog catalog;
+  trace::ContactRateEstimator estimator;
+  net::Network network;
+  metrics::MetricsCollector collector;
+  cache::CooperativeCache coop;
+  std::unique_ptr<data::SourceProcess> sources;
+};
+
+TEST(Flooding, RelayCopiesAndActivityFollowEachCarrier) {
+  FloodingScheme flooding;
+  HandRig rig(flooding, {{150.0, 10.0, 0, 2},    // source hands v1 to carrier 2
+                         {170.0, 10.0, 2, 3},    // 2 hands v1 on to carrier 3
+                         {250.0, 10.0, 0, 2},    // source upgrades 2's copy to v2
+                         {270.0, 10.0, 2, 1}});  // 2 refreshes member 1 to v2
+  ASSERT_TRUE(rig.coop.isCachingNode(1, 0));
+  EXPECT_EQ(flooding.relayCopies(), 0u);
+  for (NodeId n = 0; n < 4; ++n) EXPECT_FALSE(flooding.contactActive(n));
+
+  rig.simulator.runUntil(160.0);
+  EXPECT_EQ(flooding.relayCopies(), 1u);
+  EXPECT_TRUE(flooding.contactActive(2));
+  EXPECT_FALSE(flooding.contactActive(3));
+
+  rig.simulator.runUntil(180.0);
+  EXPECT_EQ(flooding.relayCopies(), 2u);
+  EXPECT_TRUE(flooding.contactActive(3));
+
+  // An upgrade replaces the carrier's copy; it adds none.
+  rig.simulator.runUntil(260.0);
+  EXPECT_EQ(flooding.relayCopies(), 2u);
+
+  // A member gets the version installed in its cache, not a relay copy.
+  rig.simulator.runUntil(HandRig::kHorizon);
+  EXPECT_EQ(flooding.relayCopies(), 2u);
+  EXPECT_FALSE(flooding.contactActive(0));
+  EXPECT_FALSE(flooding.contactActive(1));
+  EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 2u);
+}
+
+TEST(Invalidation, KnownVersionMergesOnEachContact) {
+  InvalidationScheme inv;
+  HandRig rig(inv, {{150.0, 10.0, 0, 2},    // 2 hears v1 from the source
+                    {170.0, 10.0, 2, 3},    // 3 hears v1 from 2
+                    {270.0, 10.0, 3, 1}});  // member 1 hears v1 and pulls
+  for (NodeId n = 0; n < 4; ++n) EXPECT_EQ(inv.knownVersion(n, 0), 0u);
+
+  rig.simulator.runUntil(160.0);
+  EXPECT_EQ(inv.knownVersion(0, 0), 1u);
+  EXPECT_EQ(inv.knownVersion(2, 0), 1u);
+  EXPECT_EQ(inv.knownVersion(3, 0), 0u);
+
+  rig.simulator.runUntil(180.0);
+  EXPECT_EQ(inv.knownVersion(3, 0), 1u);
+  EXPECT_EQ(inv.knownVersion(1, 0), 0u);
+  EXPECT_EQ(inv.pullsIssued(), 0u);  // only the member pulls
+
+  // Member 1's warm-start v0 expired at 200, so the rumor of v1 that
+  // reaches it at 270 makes it pull.
+  rig.simulator.runUntil(HandRig::kHorizon);
+  EXPECT_EQ(inv.knownVersion(1, 0), 1u);
+  EXPECT_EQ(inv.knownVersion(3, 0), 1u);
+  EXPECT_EQ(inv.knownVersion(2, 0), 1u);
+  EXPECT_EQ(inv.pullsIssued(), 1u);
+}
+
 TEST(NoRefresh, NeverTransfersRefreshBytes) {
   NoRefreshScheme scheme;
   Rig rig(scheme);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <random>
 
 #include "baselines/baselines.hpp"
 #include "data/source.hpp"
@@ -202,6 +204,88 @@ TEST(CoopCache, TinyContactBudgetBlocksDataButNotProgress) {
   rig.run();
   EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 0u);
   EXPECT_EQ(rig.network.transfers().total().bytes, 0u);
+}
+
+TEST(CoopCache, HeldTableAgreesWithStoresThroughUpgradesAndEvictions) {
+  // Six nodes, five 1000-byte items and room for two copies per node:
+  // random pushes of the live or the previous version force upgrades,
+  // no-op pushes and LRU evictions. After every push, heldVersion and
+  // canAnswer must say what the stores say, also one ulp either side of
+  // every copy's expiry.
+  constexpr std::size_t kNodes = 6;
+  constexpr std::size_t kItems = 5;
+  std::vector<data::ItemSpec> specs;
+  for (data::ItemId i = 0; i < kItems; ++i) {
+    data::ItemSpec s;
+    s.id = i;
+    s.source = i % 2 == 0 ? 0 : 5;
+    s.sizeBytes = 1000;
+    s.refreshPeriod = 100.0;
+    s.lifetime = 200.0;
+    s.birth = 7.0 * i;
+    specs.push_back(s);
+  }
+  const data::Catalog catalog(specs);
+  sim::Simulator simulator;
+  const trace::ContactTrace trace(kNodes, {});
+  net::Network network(simulator, trace);
+  trace::ContactRateEstimator estimator(kNodes, {}, 0.0);
+  metrics::MetricsCollector collector(catalog, 0.0);
+  trace::RateMatrix rates(kNodes);
+  for (NodeId i = 0; i < kNodes; ++i)
+    for (NodeId j = i + 1; j < kNodes; ++j) rates.setRate(i, j, 0.01 * (1 + (i * 7 + j) % 5));
+  CoopCacheConfig cfg;
+  cfg.cachingNodesPerItem = 4;
+  cfg.cacheCapacityBytes = 2500;
+  CooperativeCache coop(simulator, network, catalog, estimator, collector, rates, cfg);
+  obs::Registry registry;
+  coop.setObservability(nullptr, &registry);
+
+  const auto expectAgreement = [&](sim::SimTime now) {
+    for (NodeId n = 0; n < kNodes; ++n) {
+      for (data::ItemId item = 0; item < kItems; ++item) {
+        const data::VersionClock& clock = catalog.clock(item);
+        const CacheEntry* e = coop.storeOf(n).find(item);
+        std::vector<sim::SimTime> probes{now};
+        if (e != nullptr) {
+          probes.push_back(e->expiresAt);
+          probes.push_back(std::nextafter(e->expiresAt, -INFINITY));
+          probes.push_back(std::nextafter(e->expiresAt, INFINITY));
+        }
+        for (const sim::SimTime t : probes) {
+          std::optional<data::Version> want;
+          if (n == clock.spec().source)
+            want = clock.currentVersion(t);
+          else if (e != nullptr && clock.isValid(e->version, t))
+            want = e->version;
+          ASSERT_EQ(coop.heldVersion(n, item, t), want) << "node " << n << " item " << item;
+          ASSERT_EQ(coop.canAnswer(n, item, t), want.has_value())
+              << "node " << n << " item " << item;
+        }
+      }
+    }
+  };
+
+  std::mt19937_64 rng(42);
+  net::TransferLog log(kNodes);
+  sim::SimTime t = 0.0;
+  expectAgreement(t);
+  for (int step = 0; step < 4000; ++step) {
+    t += std::uniform_real_distribution<double>(0.0, 20.0)(rng);
+    const auto item = static_cast<data::ItemId>(rng() % kItems);
+    const auto& members = coop.cachingNodesOf(item);
+    const NodeId to = members[rng() % members.size()];
+    const data::Version live = catalog.clock(item).currentVersion(t);
+    const data::Version v = live > 0 && rng() % 3 == 0 ? live - 1 : live;
+    net::ContactChannel channel(1u << 30, log);
+    coop.pushSpecificVersion(catalog.spec(item).source, to, item, v, t, channel,
+                             net::Traffic::kRefresh);
+    expectAgreement(t);
+  }
+  EXPECT_GT(registry.counter("cache.install.inserted").value(), 100u);
+  EXPECT_GT(registry.counter("cache.install.upgraded").value(), 100u);
+  EXPECT_GT(registry.counter("cache.install.evicted").value(), 100u);
+  EXPECT_GT(registry.counter("cache.push.noop").value(), 100u);
 }
 
 TEST(CoopCache, LocalQueryHitAnswersInstantly) {
