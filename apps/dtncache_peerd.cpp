@@ -85,12 +85,7 @@ int main(int argc, char** argv) {
   const std::string storePath =
       args.getString("--store", "", "override peer.storePath (append-only log)");
 
-  if (args.helpRequested()) {
-    std::cout << args.helpText("dtncache_peerd");
-    return 0;
-  }
-  for (const std::string& error : args.errors()) std::cerr << "error: " << error << "\n";
-  if (!args.errors().empty()) return 2;
+  if (const auto status = args.finish("dtncache_peerd")) return *status;
 
   try {
     peer::PeerdConfig config;

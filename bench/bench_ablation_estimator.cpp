@@ -60,7 +60,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base) {
 
 int main() {
   bench::banner("F9", "estimator sensitivity (rate knowledge ablation)");
-  runScenario("infocom-like", bench::infocomConfig());
-  runScenario("reality-like", bench::realityConfig());
+  runScenario("infocom-like", runner::presetConfig("infocom"));
+  runScenario("reality-like", runner::presetConfig("reality"));
   return 0;
 }

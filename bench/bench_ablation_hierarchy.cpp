@@ -108,14 +108,14 @@ void relayAssist(const char* name, const runner::ExperimentConfig& base) {
 
 int main() {
   bench::banner("F8", "hierarchy design ablations");
-  fanoutSweep("infocom-like", bench::infocomConfig(), true);
+  fanoutSweep("infocom-like", runner::presetConfig("infocom"), true);
   // Raw tree quality is visible only when relays cannot paper over weak
   // edges — the sparse trace with relays off is where structure matters.
-  fanoutSweep("infocom-like", bench::infocomConfig(), false);
-  attachmentModel("infocom-like", bench::infocomConfig());
-  attachmentModel("reality-like", bench::realityConfig());
-  maintenanceModes("infocom-like", bench::infocomConfig());
-  relayAssist("reality-like", bench::realityConfig());
-  contactLoss("infocom-like", bench::infocomConfig());
+  fanoutSweep("infocom-like", runner::presetConfig("infocom"), false);
+  attachmentModel("infocom-like", runner::presetConfig("infocom"));
+  attachmentModel("reality-like", runner::presetConfig("reality"));
+  maintenanceModes("infocom-like", runner::presetConfig("infocom"));
+  relayAssist("reality-like", runner::presetConfig("reality"));
+  contactLoss("infocom-like", runner::presetConfig("infocom"));
   return 0;
 }

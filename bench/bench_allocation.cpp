@@ -44,7 +44,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base) {
 
 int main() {
   bench::banner("F13", "popularity-aware cache allocation (extension)");
-  runScenario("reality-like", bench::realityConfig());
-  runScenario("infocom-like", bench::infocomConfig());
+  runScenario("reality-like", runner::presetConfig("reality"));
+  runScenario("infocom-like", runner::presetConfig("infocom"));
   return 0;
 }

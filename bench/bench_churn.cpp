@@ -62,7 +62,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base) {
 
 int main() {
   bench::banner("F11", "freshness under node churn (distributed repair)");
-  runScenario("infocom-like", bench::infocomConfig());
-  runScenario("reality-like", bench::realityConfig());
+  runScenario("infocom-like", runner::presetConfig("infocom"));
+  runScenario("reality-like", runner::presetConfig("reality"));
   return 0;
 }

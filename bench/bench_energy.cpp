@@ -82,7 +82,7 @@ void batteryAwarePlanning(const char* name, const runner::ExperimentConfig& base
 
 int main() {
   bench::banner("F12", "energy cost and network lifetime (extension)");
-  budgetSweep("infocom-like", bench::infocomConfig());
-  batteryAwarePlanning("infocom-like", bench::infocomConfig());
+  budgetSweep("infocom-like", runner::presetConfig("infocom"));
+  batteryAwarePlanning("infocom-like", runner::presetConfig("infocom"));
   return 0;
 }

@@ -57,7 +57,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base,
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobsArg(argc, argv);
   bench::banner("F4", "freshness & access vs caching-node count R");
-  runScenario("reality-like", bench::realityConfig(), jobs);
-  runScenario("infocom-like", bench::infocomConfig(), jobs);
+  runScenario("reality-like", runner::presetConfig("reality"), jobs);
+  runScenario("infocom-like", runner::presetConfig("infocom"), jobs);
   return 0;
 }

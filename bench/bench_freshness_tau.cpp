@@ -49,7 +49,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base,
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobsArg(argc, argv);
   bench::banner("F3", "mean freshness vs refresh period tau");
-  runScenario("reality-like", bench::realityConfig(), {24, 48, 96, 168}, jobs);
-  runScenario("infocom-like", bench::infocomConfig(), {2, 4, 6, 12, 24}, jobs);
+  runScenario("reality-like", runner::presetConfig("reality"), {24, 48, 96, 168}, jobs);
+  runScenario("infocom-like", runner::presetConfig("infocom"), {2, 4, 6, 12, 24}, jobs);
   return 0;
 }

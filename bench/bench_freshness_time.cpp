@@ -78,10 +78,10 @@ void seedSweep(const char* name, const runner::ExperimentConfig& base, std::size
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobsArg(argc, argv);
   bench::banner("F2", "freshness ratio over time (all schemes)");
-  runScenario("reality-like (tau = 2 days)", bench::realityConfig(), jobs);
-  runScenario("infocom-like (tau = 6 h)", bench::infocomConfig(), jobs);
+  runScenario("reality-like (tau = 2 days)", runner::presetConfig("reality"), jobs);
+  runScenario("infocom-like (tau = 6 h)", runner::presetConfig("infocom"), jobs);
   // Single-trace numbers above are points; the sweep shows they are stable
   // across mobility realizations (every random process re-drawn per seed).
-  seedSweep("infocom-like", bench::infocomConfig(), 5, jobs);
+  seedSweep("infocom-like", runner::presetConfig("infocom"), 5, jobs);
   return 0;
 }

@@ -36,8 +36,8 @@ void runScenario(const char* name, runner::ExperimentConfig base) {
 
 int main() {
   bench::banner("F10", "per-node refresh load distribution");
-  runScenario("infocom-like", bench::infocomConfig());
-  runScenario("reality-like", bench::realityConfig());
+  runScenario("infocom-like", runner::presetConfig("infocom"));
+  runScenario("reality-like", runner::presetConfig("reality"));
   std::cout << "\npeak_to_mean 1.0 = perfectly even duty; gini 0 = even, 1 = "
                "one node does everything.\n";
   return 0;

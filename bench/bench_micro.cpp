@@ -9,6 +9,7 @@
 #include "core/freshness.hpp"
 #include "core/hierarchy.hpp"
 #include "core/replication.hpp"
+#include "runner/presets.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "trace/generators.hpp"
@@ -90,7 +91,7 @@ void BM_EventQueueThroughput(benchmark::State& state) {
 BENCHMARK(BM_EventQueueThroughput);
 
 void BM_TraceGeneration(benchmark::State& state) {
-  auto cfg = trace::infocomLikeConfig(1);
+  auto cfg = runner::presetConfig("infocom").trace;
   for (auto _ : state) {
     cfg.seed++;
     benchmark::DoNotOptimize(trace::generate(cfg));

@@ -64,9 +64,9 @@ void overheadVsTheta(const char* name, runner::ExperimentConfig base) {
 
 int main() {
   bench::banner("F6", "freshness-maintenance overhead");
-  schemeOverhead("infocom-like", bench::infocomConfig());
-  categoryBreakdown("infocom-like", bench::infocomConfig());
-  overheadVsTheta("infocom-like", bench::infocomConfig());
-  schemeOverhead("reality-like", bench::realityConfig());
+  schemeOverhead("infocom-like", runner::presetConfig("infocom"));
+  categoryBreakdown("infocom-like", runner::presetConfig("infocom"));
+  overheadVsTheta("infocom-like", runner::presetConfig("infocom"));
+  schemeOverhead("reality-like", runner::presetConfig("reality"));
   return 0;
 }

@@ -39,7 +39,7 @@ void runScenario(const char* name, const runner::ExperimentConfig& base) {
 
 int main() {
   bench::banner("F7", "query validity and access delay vs load");
-  runScenario("infocom-like", bench::infocomConfig());
-  runScenario("reality-like", bench::realityConfig());
+  runScenario("infocom-like", runner::presetConfig("infocom"));
+  runScenario("reality-like", runner::presetConfig("reality"));
   return 0;
 }

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kNodeCounts[] = {40, 80, 120, 200};
   std::vector<runner::ExperimentConfig> configs;
   for (const std::size_t nodes : kNodeCounts) {
-    auto cfg = bench::infocomConfig();
-    cfg.trace.nodeCount = nodes;
+    auto cfg = runner::presetConfig("infocom", nodes);
     cfg.trace.communities = std::max<std::size_t>(2, nodes / 20);
     cfg.scheme = runner::SchemeKind::kHierarchical;
     cfg.hierarchical.useOracleRates = true;

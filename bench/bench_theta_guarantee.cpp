@@ -102,8 +102,8 @@ void helperOrderAblation(const char* name, const runner::ExperimentConfig& base,
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobsArg(argc, argv);
   bench::banner("F5", "freshness requirement theta: predicted vs achieved");
-  runScenario("infocom-like", bench::infocomConfig(), jobs);
-  runScenario("reality-like", bench::realityConfig(), jobs);
-  helperOrderAblation("infocom-like", bench::infocomConfig(), jobs);
+  runScenario("infocom-like", runner::presetConfig("infocom"), jobs);
+  runScenario("reality-like", runner::presetConfig("reality"), jobs);
+  helperOrderAblation("infocom-like", runner::presetConfig("infocom"), jobs);
   return 0;
 }

@@ -15,9 +15,9 @@ int main() {
   metrics::Table table({"trace", "nodes", "days", "contacts", "pairs_met",
                         "contacts_per_pair_day", "mean_contact_s"});
   for (const auto& [name, cfg] :
-       {std::pair{"reality-like", trace::realityLikeConfig(1)},
-        std::pair{"infocom-like", trace::infocomLikeConfig(1)}}) {
-    const auto world = trace::generate(cfg);
+       {std::pair{"reality-like", runner::presetConfig("reality")},
+        std::pair{"infocom-like", runner::presetConfig("infocom")}}) {
+    const auto world = trace::generate(cfg.trace);
     const auto s = world.trace.stats();
     table.addRow({name, std::to_string(s.nodeCount),
                   metrics::fmt(sim::toDays(s.duration), 1), std::to_string(s.contactCount),

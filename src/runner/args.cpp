@@ -1,6 +1,7 @@
 #include "runner/args.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <sstream>
 #include <utility>
 
@@ -41,16 +42,16 @@ std::optional<std::string> ArgParser::raw(const std::string& flag) {
 }
 
 std::string ArgParser::getString(const std::string& flag, const std::string& defaultValue,
-                                 const std::string& help) {
-  registered_[flag] = Option{help, defaultValue, false};
+                                 const std::string& help, const std::string& defaultText) {
+  registered_[flag] = Option{help, defaultText.empty() ? defaultValue : defaultText, false};
   return raw(flag).value_or(defaultValue);
 }
 
 double ArgParser::getDouble(const std::string& flag, double defaultValue,
-                            const std::string& help) {
+                            const std::string& help, const std::string& defaultText) {
   std::ostringstream def;
   def << defaultValue;
-  registered_[flag] = Option{help, def.str(), false};
+  registered_[flag] = Option{help, defaultText.empty() ? def.str() : defaultText, false};
   const auto v = raw(flag);
   if (!v) return defaultValue;
   try {
@@ -65,8 +66,9 @@ double ArgParser::getDouble(const std::string& flag, double defaultValue,
 }
 
 std::int64_t ArgParser::getInt(const std::string& flag, std::int64_t defaultValue,
-                               const std::string& help) {
-  registered_[flag] = Option{help, std::to_string(defaultValue), false};
+                               const std::string& help, const std::string& defaultText) {
+  registered_[flag] =
+      Option{help, defaultText.empty() ? std::to_string(defaultValue) : defaultText, false};
   const auto v = raw(flag);
   if (!v) return defaultValue;
   try {
@@ -106,6 +108,18 @@ std::string ArgParser::helpText(const std::string& programName) const {
   }
   os << "  --help\n      print this message\n";
   return os.str();
+}
+
+std::optional<int> ArgParser::finish(const std::string& programName) const {
+  if (helpRequested_) {
+    std::cout << helpText(programName);
+    return 0;
+  }
+  const auto all = errors();
+  if (all.empty()) return std::nullopt;
+  for (const auto& e : all) std::cerr << "error: " << e << "\n";
+  std::cerr << "\n" << helpText(programName);
+  return 2;
 }
 
 }  // namespace dtncache::runner

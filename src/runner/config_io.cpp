@@ -123,6 +123,12 @@ const std::string& rateModelName(trace::RateModel model) {
   return rateModelNames().front().second;
 }
 
+std::optional<SchemeKind> parseSchemeName(const std::string& name) {
+  for (const auto& [kind, text] : schemeNames())
+    if (text == name) return kind;
+  return std::nullopt;
+}
+
 std::string dumpConfig(const ExperimentConfig& config) {
   std::ostringstream out;
   out << "{\n";

@@ -14,6 +14,7 @@
 /// The parser and the field-binder machinery live in flat_json.hpp, shared
 /// with the peer daemon's `peer.*` config namespace (src/peer/peer_config).
 
+#include <optional>
 #include <string>
 
 #include "runner/experiment.hpp"
@@ -36,6 +37,10 @@ void applyConfigJson(ExperimentConfig& config, const std::string& json);
 
 /// The `trace.model` name of a rate model, as dumped and loaded.
 const std::string& rateModelName(trace::RateModel model);
+
+/// The scheme a config's `scheme` key (or a CLI's `--scheme`) names:
+/// "hierarchical", "norefresh", ... — schemeName() lowercased.
+std::optional<SchemeKind> parseSchemeName(const std::string& name);
 
 ExperimentConfig loadConfigFile(const std::string& path);
 void saveConfigFile(const ExperimentConfig& config, const std::string& path);

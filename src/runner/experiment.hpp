@@ -161,6 +161,10 @@ struct ExperimentOutput {
 
 ExperimentOutput runExperiment(const ExperimentConfig& config);
 
+/// The trace a run simulates: `config.trace` with the master seed mixed
+/// into its seed, so each seed of a sweep draws its own contacts.
+trace::SyntheticTraceConfig runTraceConfig(const ExperimentConfig& config);
+
 /// Convenience: same config, each scheme in `schemes` (default all).
 std::vector<ExperimentOutput> runSchemeComparison(ExperimentConfig config,
                                                   std::vector<SchemeKind> schemes = {});
