@@ -103,5 +103,34 @@ TEST(Args, NegativeNumbersAsValues) {
   EXPECT_TRUE(p.errors().empty());
 }
 
+TEST(Args, DefaultTextReplacesTheShownDefault) {
+  auto p = parse({});
+  EXPECT_EQ(p.getInt("--items", 10, "catalog size", "the preset's value"), 10);
+  p.getDouble("--tau", 6.0, "refresh period", "the preset's value");
+  const std::string help = p.helpText("prog");
+  EXPECT_NE(help.find("catalog size (default: the preset's value)"), std::string::npos);
+  EXPECT_NE(help.find("refresh period (default: the preset's value)"), std::string::npos);
+  EXPECT_EQ(help.find("(default: 10)"), std::string::npos);
+}
+
+TEST(Args, AddedErrorsJoinTheParseErrors) {
+  auto p = parse({"--tau=abc"});
+  p.getDouble("--tau", 1.0, "t");
+  p.addError("--tau must be positive");
+  const auto errors = p.errors();
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[1], "--tau must be positive");
+}
+
+TEST(Args, FinishReturnsTheExitStatus) {
+  auto help = parse({"--help", "--bogus"});
+  EXPECT_EQ(help.finish("prog"), 0);  // help wins over errors
+  auto bad = parse({"--bogus"});
+  EXPECT_EQ(bad.finish("prog"), 2);
+  auto good = parse({"--tau=1"});
+  good.getDouble("--tau", 0.0, "t");
+  EXPECT_FALSE(good.finish("prog").has_value());
+}
+
 }  // namespace
 }  // namespace dtncache::runner
