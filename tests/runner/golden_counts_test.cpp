@@ -375,6 +375,74 @@ TEST(GoldenCounts, MaintenanceModesCellIsExact) {
   }
 }
 
+TEST(GoldenCounts, ExternalTraceCellIsExact) {
+  // The cell's own trace, generated once and fed back as a caller-owned
+  // external trace: planning rates (and the oracle arm's rates) are fitted
+  // from it, and the estimator warms up on its first 6 hours. All three
+  // runs replay the one trace object.
+  ExperimentConfig cfg = goldenConfig();
+  const trace::SyntheticTrace world = trace::generate(runTraceConfig(cfg));
+  cfg.externalTrace = &world.trace;
+  cfg.estimatorWarmup = sim::hours(6);
+  struct Cell {
+    const char* name;
+    SchemeKind scheme;
+    bool oracle;
+    Golden want;
+  };
+  const std::vector<Cell> rows = {
+      {"hierarchical", SchemeKind::kHierarchical, false,
+       {12536, 210, 182, "0x1.a6e4bcf2bcb7fp-1", "0x1.8444444444444p-1",
+        {{"cache.handshake.truncated", 0}, {"cache.install.evicted", 0},
+         {"cache.install.inserted", 80}, {"cache.install.upgraded", 182},
+         {"cache.push.delivered", 88}, {"cache.push.denied", 0}, {"cache.push.noop", 0},
+         {"cache.query.local_hit", 23}, {"cache.query.sprayed", 151},
+         {"cache.reply.delivered", 529}, {"core.churn.repairs", 0},
+         {"core.maintenance.runs", 1},
+         {"core.plan.helpers", 387}, {"core.plan.unmet", 129}, {"core.relay.injected", 303},
+         {"core.reparent.count", 19}, {"net.contact.delivered", 12307},
+         {"net.contact.lost", 0}, {"net.contact.suppressed", 0},
+         {"shard.boring_contacts", 1847}, {"shard.fence_contacts", 10460},
+         {"shard.fence_from_expired_only", 369}}}},
+      {"hierarchical/oracle", SchemeKind::kHierarchical, true,
+       {12536, 210, 183, "0x1.b370e44ef6de1p-1", "0x1.8666666666666p-1",
+        {{"cache.handshake.truncated", 0}, {"cache.install.evicted", 0},
+         {"cache.install.inserted", 80}, {"cache.install.upgraded", 183},
+         {"cache.push.delivered", 89}, {"cache.push.denied", 0}, {"cache.push.noop", 0},
+         {"cache.query.local_hit", 23}, {"cache.query.sprayed", 151},
+         {"cache.reply.delivered", 529}, {"core.churn.repairs", 0},
+         {"core.maintenance.runs", 1},
+         {"core.plan.helpers", 534}, {"core.plan.unmet", 118}, {"core.relay.injected", 342},
+         {"core.reparent.count", 0}, {"net.contact.delivered", 12307},
+         {"net.contact.lost", 0}, {"net.contact.suppressed", 0},
+         {"shard.boring_contacts", 1800}, {"shard.fence_contacts", 10507},
+         {"shard.fence_from_expired_only", 338}}}},
+      {"pull", SchemeKind::kPull, false,
+       {12558, 210, 127, "0x1.22260d5a75f25p-1", "0x1.f333333333333p-2",
+        {{"cache.handshake.truncated", 0}, {"cache.install.evicted", 0},
+         {"cache.install.inserted", 80}, {"cache.install.upgraded", 127},
+         {"cache.push.delivered", 0}, {"cache.push.denied", 0}, {"cache.push.noop", 0},
+         {"cache.query.local_hit", 22}, {"cache.query.sprayed", 152},
+         {"cache.reply.delivered", 520}, {"core.churn.repairs", 0},
+         {"core.maintenance.runs", 0},
+         {"core.plan.helpers", 0}, {"core.plan.unmet", 0}, {"core.relay.injected", 0},
+         {"core.reparent.count", 0}, {"net.contact.delivered", 12307},
+         {"net.contact.lost", 0}, {"net.contact.suppressed", 0},
+         {"shard.boring_contacts", 1260}, {"shard.fence_contacts", 11047},
+         {"shard.fence_from_expired_only", 241}}}},
+  };
+  for (const Cell& row : rows) {
+    cfg.scheme = row.scheme;
+    cfg.hierarchical.useOracleRates = row.oracle;
+    const ExperimentOutput out = runExperiment(cfg);
+    SCOPED_TRACE(row.name);
+    expectRow(out, row.want);
+    EXPECT_EQ(out.traceStats.contactCount, 12307u);
+    EXPECT_EQ(out.traceStats.pairsThatMet, 2721u);
+    EXPECT_EQ(hexBits(out.traceStats.meanPairwiseRate), "0x1.b74ef7832d537p-15");
+  }
+}
+
 TEST(GoldenCounts, TraceStatsOfTheCellAreExact) {
   // Computed once per memoized trace; runs read the stored copy.
   const ExperimentOutput out = runExperiment(goldenConfig());
