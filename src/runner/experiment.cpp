@@ -70,10 +70,8 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
   std::shared_ptr<const trace::SyntheticTrace> worldShared;
   sim::SimTime horizon = 0.0;
   if (config.externalTrace != nullptr) {
-    // Memoized: every job of a sweep arm points at the same loaded trace;
-    // copying it and refitting the full MLE rate matrix per job was the
-    // dominant per-job setup cost on the external-trace path.
-    worldShared = trace::externalShared(*config.externalTrace);
+    worldShared =
+        std::make_shared<const trace::SyntheticTrace>(trace::adoptTrace(*config.externalTrace));
     horizon = worldShared->trace.duration();
   } else {
     // Memoized: sweep grids and bench reps replay identical (config, seed)

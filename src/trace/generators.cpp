@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "trace/mobility.hpp"
 
@@ -120,6 +121,14 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
 
   out.trace = ContactTrace(n, std::move(contacts));
   return out;
+}
+
+SyntheticTrace adoptTrace(ContactTrace trace) {
+  SyntheticTrace world;
+  world.trace = std::move(trace);
+  world.rates = RateMatrix::fitFromTrace(world.trace);
+  world.stats = world.trace.stats();
+  return world;
 }
 
 SyntheticTraceConfig realityLikeConfig(std::uint64_t seed) {

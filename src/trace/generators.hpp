@@ -94,14 +94,18 @@ struct SyntheticTrace {
   RateMatrix rates;
   /// Community assignment of each node (empty unless kCommunity).
   std::vector<std::size_t> community;
-  /// trace.stats(), computed once by the shared builders (generateShared,
-  /// externalShared) so runs replaying a memoized trace do not recount it;
-  /// left default by generate().
+  /// trace.stats(), computed once by generateShared and adoptTrace so runs
+  /// replaying a memoized trace do not recount it; left default by
+  /// generate().
   TraceStats stats;
 };
 
 /// Generate a trace from the config. Deterministic in config.seed.
 SyntheticTrace generate(const SyntheticTraceConfig& config);
+
+/// A caller-owned (imported) trace as the world of a run: the trace, its
+/// MLE-fitted rate matrix as the rates and its stats; no communities.
+SyntheticTrace adoptTrace(ContactTrace trace);
 
 /// 97 nodes / 30 days / strong communities / day-night cycle: a scaled
 /// stand-in for the MIT Reality Mining campus trace (97 devices, 9 months;

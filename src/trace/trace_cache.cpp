@@ -1,8 +1,6 @@
 #include "trace/trace_cache.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -32,8 +30,6 @@ struct Cache {
   std::mutex mu;
   std::vector<Entry> entries;
   std::uint64_t clock = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
 };
 
 Cache& cache() {
@@ -55,11 +51,9 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
     for (Entry& e : c.entries) {
       if (e.config == config) {
         e.lastUse = ++c.clock;
-        ++c.hits;
         return e.trace;
       }
     }
-    ++c.misses;
   }
 
   // Generate outside the lock so concurrent sweep workers are not
@@ -85,135 +79,6 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
   }
   c.entries.push_back(Entry{config, fresh, ++c.clock, {}});
   return fresh;
-}
-
-namespace {
-
-/// Identity + content fingerprint of an external trace. The address alone
-/// is unsafe (a reloaded trace can land on a recycled allocation), so mix
-/// in the cheap invariants and a strided FNV-1a sample of the contact
-/// records; any in-place edit of a sampled record, the size, or the
-/// duration changes the key.
-struct ExternalKey {
-  const ContactTrace* ptr = nullptr;
-  std::size_t nodeCount = 0;
-  std::size_t contactCount = 0;
-  std::uint64_t durationBits = 0;
-  std::uint64_t digest = 0;
-
-  bool operator==(const ExternalKey& o) const {
-    return ptr == o.ptr && nodeCount == o.nodeCount && contactCount == o.contactCount &&
-           durationBits == o.durationBits && digest == o.digest;
-  }
-};
-
-std::uint64_t bitsOf(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-ExternalKey externalKeyOf(const ContactTrace& trace) {
-  ExternalKey key;
-  key.ptr = &trace;
-  key.nodeCount = trace.nodeCount();
-  key.contactCount = trace.contacts().size();
-  key.durationBits = bitsOf(trace.duration());
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over sampled contacts
-  const auto mix = [&h](std::uint64_t v) {
-    h = (h ^ v) * 1099511628211ull;
-  };
-  const auto& contacts = trace.contacts();
-  const std::size_t samples = std::min<std::size_t>(contacts.size(), 64);
-  const std::size_t stride = samples > 0 ? std::max<std::size_t>(contacts.size() / samples, 1) : 1;
-  for (std::size_t i = 0; i < contacts.size(); i += stride) {
-    const Contact& c = contacts[i];
-    mix((static_cast<std::uint64_t>(c.a) << 32) | c.b);
-    mix(bitsOf(c.start));
-    mix(bitsOf(c.duration));
-  }
-  key.digest = h;
-  return key;
-}
-
-struct ExternalEntry {
-  ExternalKey key;
-  std::shared_ptr<const SyntheticTrace> trace;
-  std::uint64_t lastUse = 0;
-};
-
-struct ExternalCache {
-  std::mutex mu;
-  std::vector<ExternalEntry> entries;
-  std::uint64_t clock = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-};
-
-ExternalCache& externalCache() {
-  static ExternalCache c;
-  return c;
-}
-
-/// A process rarely juggles more than a couple of loaded traces at once.
-constexpr std::size_t kMaxExternalEntries = 4;
-
-}  // namespace
-
-std::shared_ptr<const SyntheticTrace> externalShared(const ContactTrace& trace) {
-  const ExternalKey key = externalKeyOf(trace);
-  ExternalCache& c = externalCache();
-  {
-    std::lock_guard<std::mutex> lock(c.mu);
-    for (ExternalEntry& e : c.entries) {
-      if (e.key == key) {
-        e.lastUse = ++c.clock;
-        ++c.hits;
-        return e.trace;
-      }
-    }
-    ++c.misses;
-  }
-
-  // Copy + fit outside the lock (same racing-duplicates tolerance as
-  // generateShared: both losers produce identical objects).
-  auto fresh = std::make_shared<SyntheticTrace>();
-  fresh->trace = trace;
-  fresh->rates = RateMatrix::fitFromTrace(fresh->trace);
-  fresh->stats = fresh->trace.stats();
-  std::shared_ptr<const SyntheticTrace> result = std::move(fresh);
-
-  std::lock_guard<std::mutex> lock(c.mu);
-  for (ExternalEntry& e : c.entries) {
-    if (e.key == key) {
-      e.lastUse = ++c.clock;
-      return e.trace;
-    }
-  }
-  if (c.entries.size() >= kMaxExternalEntries) {
-    std::size_t victim = 0;
-    for (std::size_t i = 1; i < c.entries.size(); ++i)
-      if (c.entries[i].lastUse < c.entries[victim].lastUse) victim = i;
-    c.entries.erase(c.entries.begin() + static_cast<std::ptrdiff_t>(victim));
-  }
-  c.entries.push_back(ExternalEntry{key, result, ++c.clock});
-  return result;
-}
-
-TraceCacheStats externalTraceCacheStats() {
-  ExternalCache& c = externalCache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  return TraceCacheStats{c.hits, c.misses, c.entries.size()};
-}
-
-void clearExternalTraceCache() {
-  ExternalCache& c = externalCache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  c.entries.clear();
-  c.clock = 0;
-  c.hits = 0;
-  c.misses = 0;
 }
 
 std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
@@ -256,19 +121,11 @@ std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
   return result;
 }
 
-TraceCacheStats traceCacheStats() {
-  Cache& c = cache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  return TraceCacheStats{c.hits, c.misses, c.entries.size()};
-}
-
 void clearTraceCache() {
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.mu);
   c.entries.clear();
   c.clock = 0;
-  c.hits = 0;
-  c.misses = 0;
 }
 
 }  // namespace dtncache::trace

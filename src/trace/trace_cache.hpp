@@ -27,17 +27,7 @@ namespace dtncache::trace {
 /// a previous generation when one with an identical config is still cached.
 std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config);
 
-struct TraceCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t entries = 0;
-};
-
-/// Counters since process start (or the last clearTraceCache()).
-TraceCacheStats traceCacheStats();
-
-/// Drop all cached traces, with the estimators warmed over them, and reset
-/// the stats.
+/// Drop all cached traces, with the estimators warmed over them.
 void clearTraceCache();
 
 /// An `nodeCount`-node estimator started at -`warmup` and fed every contact
@@ -51,24 +41,5 @@ void clearTraceCache();
 std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
     const SyntheticTraceConfig& warmConfig, std::size_t nodeCount,
     const EstimatorConfig& estimator, sim::SimTime warmup);
-
-/// Memoized adoption of a caller-owned external (replayed) trace: copies
-/// the trace and fits its MLE rate matrix once, then reuses the result for
-/// subsequent calls over the same trace. The external-trace experiment path
-/// bypasses generateShared(), so without this every job of a sweep arm
-/// re-copied the contact list and refit the full O(N² + contacts) rate
-/// matrix even though all jobs replay one loaded trace. Keyed by the
-/// trace's address plus a content fingerprint (node count, contact count,
-/// duration bits, and a strided sample of contact records), so a reloaded
-/// or mutated trace at a recycled address misses and is refit. Thread-safe;
-/// results are byte-identical to an unmemoized fit.
-std::shared_ptr<const SyntheticTrace> externalShared(const ContactTrace& trace);
-
-/// Counters for the external-trace memo (shared clock with the generator
-/// cache but tracked separately).
-TraceCacheStats externalTraceCacheStats();
-
-/// Drop all adopted external traces and reset the stats (tests).
-void clearExternalTraceCache();
 
 }  // namespace dtncache::trace

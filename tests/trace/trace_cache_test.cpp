@@ -1,14 +1,12 @@
-/// Memoization of synthetic-trace generation and external-trace adoption.
+/// Memoization of synthetic-trace generation and of the estimator warm-up.
 ///
-/// Both caches share one contract: a cached result must be byte-identical
-/// to an unmemoized computation, and any change to the inputs (config
-/// fields, or the content behind a reused trace address) must miss.
+/// A cached result must be byte-identical to an unmemoized computation,
+/// and any change to the inputs must miss.
 
 #include "trace/trace_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <vector>
 
 #include "trace/estimator.hpp"
 #include "trace/generators.hpp"
@@ -22,86 +20,6 @@ void expectSameRates(const RateMatrix& a, const RateMatrix& b) {
   for (NodeId i = 0; i < a.nodeCount(); ++i)
     for (NodeId j = i + 1; j < a.nodeCount(); ++j)
       ASSERT_EQ(a.rate(i, j), b.rate(i, j));
-}
-
-ContactTrace smallTrace(double offset = 0.0) {
-  std::vector<Contact> contacts;
-  for (int k = 0; k < 50; ++k) {
-    Contact c;
-    c.start = offset + 100.0 * k;
-    c.duration = 30.0;
-    c.a = static_cast<NodeId>(k % 6);
-    c.b = static_cast<NodeId>((k + 1 + k % 3) % 6);
-    if (c.a == c.b) c.b = (c.b + 1) % 6;
-    contacts.push_back(c);
-  }
-  return ContactTrace(6, contacts);
-}
-
-TEST(ExternalTraceCache, AdoptionIsMemoizedAndByteIdentical) {
-  clearExternalTraceCache();
-  const ContactTrace t = smallTrace();
-
-  const auto first = externalShared(t);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->trace.contacts().size(), t.contacts().size());
-  expectSameRates(first->rates, RateMatrix::fitFromTrace(t));
-  auto stats = externalTraceCacheStats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-
-  // Same object again: a hit returning the same shared result.
-  const auto second = externalShared(t);
-  EXPECT_EQ(second.get(), first.get());
-  stats = externalTraceCacheStats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-}
-
-TEST(ExternalTraceCache, MutatedContentAtTheSameAddressMisses) {
-  // Re-assigning the trace object keeps its address but changes its
-  // content — exactly the reload scenario the fingerprint guards against.
-  clearExternalTraceCache();
-  ContactTrace t = smallTrace();
-  const auto first = externalShared(t);
-  t = smallTrace(7.0);  // same address, shifted contact times
-  const auto second = externalShared(t);
-  EXPECT_NE(second.get(), first.get());
-  expectSameRates(second->rates, RateMatrix::fitFromTrace(t));
-  const auto stats = externalTraceCacheStats();
-  EXPECT_EQ(stats.misses, 2u);
-}
-
-TEST(ExternalTraceCache, DistinctTracesGetDistinctEntries) {
-  clearExternalTraceCache();
-  const ContactTrace a = smallTrace();
-  const ContactTrace b = smallTrace(3.5);
-  const auto ra = externalShared(a);
-  const auto rb = externalShared(b);
-  EXPECT_NE(ra.get(), rb.get());
-  // Both stay cached; re-requests hit.
-  EXPECT_EQ(externalShared(a).get(), ra.get());
-  EXPECT_EQ(externalShared(b).get(), rb.get());
-  const auto stats = externalTraceCacheStats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(ExternalTraceCache, ClearResetsEntriesAndStats) {
-  clearExternalTraceCache();
-  const ContactTrace t = smallTrace();
-  const auto first = externalShared(t);
-  clearExternalTraceCache();
-  auto stats = externalTraceCacheStats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  // The evicted result stays alive through the caller's shared_ptr; a new
-  // request refits rather than resurrecting it.
-  const auto second = externalShared(t);
-  EXPECT_NE(second.get(), first.get());
-  expectSameRates(second->rates, first->rates);
 }
 
 /// The warm-up runExperiment performed before the memo: a fresh estimator
