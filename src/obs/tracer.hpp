@@ -2,8 +2,8 @@
 
 /// \file tracer.hpp
 /// Structured event tracing: typed JSONL events through a buffered,
-/// thread-confined sink — zero-cost when compiled out, one pointer
-/// compare per site when compiled in but unsinked.
+/// thread-confined sink — one pointer compare per site when no tracer is
+/// installed.
 ///
 /// Emission is always through the DTNCACHE_EVENT macro:
 ///
@@ -11,11 +11,8 @@
 ///                    {"from", from}, {"to", to}, {"item", item});
 ///
 /// Cost model, from cold to hot:
-///   - `cmake -DDTNCACHE_TRACE=OFF`: the macro expands to nothing — field
-///     expressions are never evaluated, the tracer pointer is unused, and
-///     the binary carries no tracing code on the instrumented paths.
-///   - compiled in, no tracer installed (the default): one null-pointer
-///     compare per site — the acceptance bar is < 3% on the contact path.
+///   - no tracer installed (the default): one null-pointer compare per
+///     site — the acceptance bar is < 3% on the contact path.
 ///   - tracer installed, kind filtered out: one additional bitmask test.
 ///   - kind wanted: fields are rendered to one JSONL line into the
 ///     tracer's in-memory buffer (no I/O on the hot path; the owner
@@ -32,10 +29,6 @@
 
 #include "obs/event.hpp"
 #include "sim/time.hpp"
-
-#ifndef DTNCACHE_TRACE_ENABLED
-#define DTNCACHE_TRACE_ENABLED 1
-#endif
 
 namespace dtncache::obs {
 
@@ -134,18 +127,11 @@ class Tracer {
 
 }  // namespace dtncache::obs
 
-/// Emit a structured event iff tracing is compiled in AND `tracer` is
-/// non-null AND its filter wants `kind`. Field expressions are not
-/// evaluated unless all three hold (and never when compiled out).
-#if DTNCACHE_TRACE_ENABLED
+/// Emit a structured event iff `tracer` is non-null AND its filter wants
+/// `kind`. Field expressions are not evaluated unless both hold.
 #define DTNCACHE_EVENT(tracer, kind, t, ...)                                 \
   do {                                                                       \
     ::dtncache::obs::Tracer* dtncacheEventTracer_ = (tracer);                \
     if (dtncacheEventTracer_ != nullptr && dtncacheEventTracer_->wants(kind)) \
       dtncacheEventTracer_->emit((kind), (t), {__VA_ARGS__});                \
   } while (0)
-#else
-#define DTNCACHE_EVENT(tracer, kind, t, ...) \
-  do {                                       \
-  } while (0)
-#endif

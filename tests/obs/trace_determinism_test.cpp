@@ -49,8 +49,6 @@ std::string runTraced(std::size_t jobs, obs::KindMask filter = obs::kAllKinds) {
   return trace.str();
 }
 
-#if DTNCACHE_TRACE_ENABLED
-
 TEST(TraceDeterminism, MergedTraceIsByteIdenticalAcrossJobCounts) {
   const std::string serial = runTraced(1);
   const std::string parallel = runTraced(4);
@@ -106,21 +104,6 @@ TEST(TraceDeterminism, SimCliPathTracerCollectsEvents) {
   EXPECT_DOUBLE_EQ(out.results.meanFreshFraction, reference.results.meanFreshFraction);
   EXPECT_EQ(out.counters, reference.counters);
 }
-
-#else  // DTNCACHE_TRACE_ENABLED
-
-TEST(TraceDeterminism, CompiledOutBuildEmitsNoEvents) {
-  const std::string text = runTraced(2);
-  EXPECT_TRUE(text.empty());
-
-  obs::Tracer tracer("single");
-  auto cfg = tinyConfig();
-  cfg.tracer = &tracer;
-  runner::runExperiment(cfg);
-  EXPECT_EQ(tracer.eventCount(), 0u);
-}
-
-#endif  // DTNCACHE_TRACE_ENABLED
 
 TEST(ObservabilityCounters, DeterministicAndConsistentWithScheme) {
   auto cfg = tinyConfig();
