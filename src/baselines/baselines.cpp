@@ -6,6 +6,17 @@
 
 namespace dtncache::baselines {
 
+namespace {
+
+/// A Pull holder suspects staleness once its copy's age exceeds this
+/// fraction of the item's refresh period.
+constexpr double kAgeTriggerFraction = 1.0;
+/// Per-item bytes of Invalidation's gossiped version vector (rides every
+/// contact).
+constexpr std::uint32_t kGossipBytesPerItem = 8;
+
+}  // namespace
+
 void SourceDirectScheme::onContact(cache::CooperativeCache& cache, NodeId a, NodeId b,
                                    sim::SimTime t, net::ContactChannel& channel) {
   const std::size_t items = cache.catalog().size();
@@ -89,7 +100,7 @@ void PullScheme::checkAges(cache::CooperativeCache& cache, sim::SimTime t) {
   const std::size_t items = cache.catalog().size();
   for (data::ItemId item = 0; item < items; ++item) {
     const sim::SimTime tau = cache.catalog().spec(item).refreshPeriod;
-    const sim::SimTime trigger = config_.ageTriggerFraction * tau;
+    const sim::SimTime trigger = kAgeTriggerFraction * tau;
     for (NodeId n : cache.cachingNodesOf(item)) {
       const cache::CacheEntry* e = cache.storeOf(n).find(item);
       if (e == nullptr || t - e->receivedAt < trigger) continue;
@@ -142,7 +153,7 @@ void InvalidationScheme::onContact(cache::CooperativeCache& cache, NodeId a, Nod
   const std::size_t items = cache.catalog().size();
   // Version-number gossip, both directions; tiny but accounted.
   const std::uint64_t gossipBytes =
-      static_cast<std::uint64_t>(config_.gossipBytesPerItem) * items;
+      static_cast<std::uint64_t>(kGossipBytesPerItem) * items;
   if (!channel.transfer(net::Traffic::kControl, gossipBytes, a)) return;
   if (!channel.transfer(net::Traffic::kControl, gossipBytes, b)) return;
 

@@ -85,9 +85,6 @@ class FloodingScheme : public cache::RefreshScheme {
 };
 
 struct PullConfig {
-  /// A holder suspects staleness once its copy's age exceeds this fraction
-  /// of the item's refresh period.
-  double ageTriggerFraction = 1.0;
   /// How often holders check their copies' ages.
   sim::SimTime checkPeriod = sim::hours(1);
   /// Relative validity of an issued pull (gives up after this).
@@ -116,8 +113,6 @@ class PullScheme : public cache::RefreshScheme {
 };
 
 struct InvalidationConfig {
-  /// Per-item bytes of the gossiped version vector (rides every contact).
-  std::uint32_t gossipBytesPerItem = 8;
   /// Validity of an issued pull (re-pull allowed after it expires).
   sim::SimTime pullTtl = sim::hours(12);
 };

@@ -9,6 +9,14 @@
 
 namespace dtncache::cache {
 
+namespace {
+
+/// Control-plane accounting: per-item version-vector entry exchanged in
+/// each contact handshake.
+constexpr std::uint32_t kVersionVectorBytesPerItem = 16;
+
+}  // namespace
+
 CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& network,
                                    const data::Catalog& catalog,
                                    trace::ContactRateEstimator& estimator,
@@ -51,15 +59,15 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
   }
 
   // Central ordering once; +1 head-room in case a source must be skipped.
-  centralOrder_ = selectNcls(planningRates, config_.centralityWindow,
-                             std::min(nodeCount_, maxSetSize + 1));
+  const std::vector<NodeId> centralOrder = selectNcls(
+      planningRates, config_.centralityWindow, std::min(nodeCount_, maxSetSize + 1));
 
   cachingNodes_.resize(catalog_.size());
   cachingBits_ = core::DenseBitset(catalog_.size() * nodeCount_);
   for (data::ItemId item = 0; item < catalog_.size(); ++item) {
     const NodeId source = catalog_.spec(item).source;
     auto& set = cachingNodes_[item];
-    for (NodeId n : centralOrder_) {
+    for (NodeId n : centralOrder) {
       if (n == source) continue;
       set.push_back(n);
       cachingBits_.set(static_cast<std::uint64_t>(item) * nodeCount_ + n);
@@ -69,8 +77,7 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
   }
   utilities_ = net::ContactUtilities(nodeCount_, catalog_.size());
 
-  handshakeHalf_ = ContactProtocol::handshakeBytes(catalog_.size(),
-                                                   config_.versionVectorBytesPerItem);
+  handshakeHalf_ = ContactProtocol::handshakeBytes(catalog_.size(), kVersionVectorBytesPerItem);
 
   sourceNode_ = core::DenseBitset(nodeCount_);
   for (data::ItemId item = 0; item < catalog_.size(); ++item)
@@ -257,7 +264,6 @@ void CooperativeCache::installCopy(NodeId at, data::ItemId item, data::Version v
 void CooperativeCache::handleNewVersion(data::ItemId item, data::Version v, sim::SimTime t) {
   collector_.versionBumped(item, t);
   DTNCACHE_EVENT(tracer_, obs::EventKind::kVersionBump, t, {"item", item}, {"version", v});
-  scheme_->onNewVersion(*this, item, v, t);
 }
 
 void CooperativeCache::handleQuery(const data::Query& q) {

@@ -58,9 +58,6 @@ struct CoopCacheConfig {
   sim::SimTime centralityWindow = sim::hours(24);
   /// Metrics sampling period (valid-fraction scans, time series).
   sim::SimTime sampleInterval = sim::hours(1);
-  /// Control-plane accounting: per-item version-vector entry exchanged in
-  /// each contact handshake.
-  std::uint32_t versionVectorBytesPerItem = 16;
 };
 
 class CooperativeCache {
@@ -194,9 +191,6 @@ class CooperativeCache {
     return (stores_[n].size() > 0 && !stores_[n].hasUnexpired(now)) ||
            (!buffers_[n].empty() && !buffers_[n].hasLive(now));
   }
-  /// Greedy-coverage central ordering of all nodes (NCL list).
-  const std::vector<NodeId>& centralOrder() const { return centralOrder_; }
-
   /// Fraction of cached copies currently valid (unexpired); full scan.
   double validFraction(sim::SimTime t) const;
 
@@ -259,7 +253,6 @@ class CooperativeCache {
   /// installCopy writes it beside every store change.
   std::vector<HeldCopy> held_;
   std::vector<net::MessageBuffer> buffers_;
-  std::vector<NodeId> centralOrder_;
   std::vector<std::vector<NodeId>> cachingNodes_;  ///< per item
   core::DenseBitset cachingBits_;  ///< (item, node) membership, bit item·N + node
 

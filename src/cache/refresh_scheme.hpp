@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "data/item.hpp"
 #include "net/network.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -23,7 +22,7 @@ class CooperativeCache;
 /// The recurring timers a scheme can own, for timerScope() classification.
 enum class TimerKind {
   kMaintenance,  ///< the scheme's periodic tick (onStart-scheduled)
-  kNewVersion,   ///< source version bumps (data::SourceProcess + onNewVersion)
+  kNewVersion,   ///< source version bumps (data::SourceProcess)
 };
 
 class RefreshScheme {
@@ -36,15 +35,6 @@ class RefreshScheme {
   /// Called once, after the substrate has computed caching-node sets and
   /// (optionally) warm-started caches, before any contact is processed.
   virtual void onStart(CooperativeCache& cache) { (void)cache; }
-
-  /// Source created a new version of `item` at time t.
-  virtual void onNewVersion(CooperativeCache& cache, data::ItemId item, data::Version v,
-                            sim::SimTime t) {
-    (void)cache;
-    (void)item;
-    (void)v;
-    (void)t;
-  }
 
   /// Nodes a and b are in contact; push whatever the scheme's rules allow,
   /// through `channel` (which enforces the contact's byte budget).
@@ -76,11 +66,10 @@ class RefreshScheme {
   /// contacts: it must not mutate stores, buffers, churn up-state, or
   /// anything contactActive()/nodeProtocolActive reads, and must not read
   /// estimator pair state (which workers write). Defaults: version bumps are
-  /// shard-local (the base onNewVersion is a no-op and the source's own
-  /// bookkeeping is coordinator-only — a scheme that overrides onNewVersion
-  /// with state-touching work MUST also override this to return kFence for
-  /// kNewVersion); maintenance ticks are fences unless a scheme proves
-  /// otherwise (core::HierarchicalScheme does, in oracle-rates mode).
+  /// shard-local (they touch only the collector, the tracer and the
+  /// source's own coordinator-only bookkeeping); maintenance ticks are
+  /// fences unless a scheme proves otherwise (core::HierarchicalScheme does,
+  /// in oracle-rates mode).
   virtual sim::EventScope timerScope(TimerKind kind) const {
     return kind == TimerKind::kNewVersion ? sim::EventScope::kShardLocal
                                           : sim::EventScope::kFence;

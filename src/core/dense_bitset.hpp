@@ -48,9 +48,6 @@ class DenseBitset {
 
   void clear() { words_.assign(words_.size(), 0); }
 
-  /// Words currently allocated (capacity introspection for tests).
-  std::size_t wordCount() const { return words_.size(); }
-
  private:
   std::vector<std::uint64_t> words_;
 };

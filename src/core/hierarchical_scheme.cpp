@@ -7,6 +7,21 @@
 
 namespace dtncache::core {
 
+namespace {
+
+/// Relative improvement in end-to-end refresh probability required before
+/// a local repair re-parents (hysteresis against estimate noise).
+constexpr double kRepairImprovement = 0.10;
+/// Only spend relay bandwidth on weak edges: inject relays for a target
+/// only when the direct responsible edge alone delivers within τ with
+/// probability below this threshold (strong edges need no help).
+constexpr double kRelayWhenDirectBelow = 0.9;
+/// Relay-copy TTL as a multiple of the item's refresh period (after one
+/// period a newer version exists, so stale relay copies self-purge).
+constexpr double kRelayTtlFactor = 1.0;
+
+}  // namespace
+
 HierarchicalRefreshScheme::HierarchicalRefreshScheme(HierarchicalConfig config,
                                                      const trace::RateMatrix* oracleRates)
     : config_(config), oracleRates_(oracleRates) {
@@ -125,7 +140,7 @@ void HierarchicalRefreshScheme::localRepairItem(cache::CooperativeCache& cache,
     for (NodeId p : h.membersBelowRoot()) considerParent(p);
 
     if (bestParent != kNoNode &&
-        bestScore >= current * (1.0 + config_.repairImprovement)) {
+        bestScore >= current * (1.0 + kRepairImprovement)) {
       h.reparent(n, bestParent, config_.hierarchy.fanoutBound);
       ++reparentCount_;
       if (ctrReparents_ != nullptr) ctrReparents_->add();
@@ -246,7 +261,7 @@ void HierarchicalRefreshScheme::injectRelays(cache::CooperativeCache& cache, Nod
       const double mine = cache.estimator().rate(holder, target, t);
       const double theirs = cache.estimator().rate(carrier, target, t);
       if (!net::improvesOn(mine, theirs, fwd.improvementFactor)) continue;
-      if (trace::contactProbability(mine, tau) >= config_.relayWhenDirectBelow) continue;
+      if (trace::contactProbability(mine, tau) >= kRelayWhenDirectBelow) continue;
 
       std::uint32_t& used =
           relayBudgetSlot(relayBudgetKey(item, target, *held, cache.nodeCount()));
@@ -273,7 +288,7 @@ void HierarchicalRefreshScheme::injectRelays(cache::CooperativeCache& cache, Nod
       m.dst = target;
       m.origin = holder;
       m.createdAt = t;
-      m.deadline = t + config_.relayTtlFactor * tau;
+      m.deadline = t + kRelayTtlFactor * tau;
       m.copiesLeft = 1;  // the bounded-replication budget is `used`, not spray
       m.payloadBytes = cache.catalog().spec(item).sizeBytes;
       m.category = net::Traffic::kRefresh;

@@ -56,9 +56,6 @@ struct HierarchicalConfig {
   ReplicationConfig replication;
   MaintenanceMode maintenance = MaintenanceMode::kLocalRepair;
   sim::SimTime maintenancePeriod = sim::hours(12);
-  /// Relative improvement in end-to-end refresh probability required before
-  /// a local repair re-parents (hysteresis against estimate noise).
-  double repairImprovement = 0.10;
   /// Plan from the true rate matrix instead of the estimator (F9 oracle arm).
   bool useOracleRates = false;
 
@@ -71,13 +68,6 @@ struct HierarchicalConfig {
   bool relayAssisted = true;
   /// Max relay copies injected per (item, target, version).
   std::uint32_t relayCopiesPerVersion = 2;
-  /// Only spend relay bandwidth on weak edges: inject relays for a target
-  /// only when the direct responsible edge alone delivers within τ with
-  /// probability below this threshold (strong edges need no help).
-  double relayWhenDirectBelow = 0.9;
-  /// Relay-copy TTL as a multiple of the item's refresh period (after one
-  /// period a newer version exists, so stale relay copies self-purge).
-  double relayTtlFactor = 1.0;
   /// With an energy weight installed, carriers below this remaining-battery
   /// fraction are not handed relay copies.
   double minRelayCarrierBattery = 0.15;

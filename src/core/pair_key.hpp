@@ -26,12 +26,4 @@ inline constexpr std::uint64_t packSymmetricPair(std::uint32_t a, std::uint32_t 
   return a < b ? packPair(a, b) : packPair(b, a);
 }
 
-inline constexpr std::uint32_t pairHigh(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-
-inline constexpr std::uint32_t pairLow(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key);
-}
-
 }  // namespace dtncache::core

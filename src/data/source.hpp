@@ -25,8 +25,7 @@ class SourceProcess {
   /// current simulator time until `horizon`. Listeners added before run()
   /// observe every bump. `scope` is the bump events' sharded-kernel scope:
   /// pass the installed scheme's timerScope(TimerKind::kNewVersion) — bumps
-  /// only touch the collector, the tracer, and the scheme's onNewVersion
-  /// hook, so the base-class no-op hook makes them shard-local.
+  /// only touch the collector and the tracer, so they are shard-local.
   SourceProcess(sim::Simulator& simulator, const Catalog& catalog, sim::SimTime horizon,
                 sim::EventScope scope = sim::EventScope::kFence);
 

@@ -22,7 +22,6 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   Table& addRow(std::vector<std::string> cells);
-  std::size_t rowCount() const { return rows_.size(); }
 
   void print(std::ostream& out) const;
   void printCsv(std::ostream& out) const;

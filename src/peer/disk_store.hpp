@@ -84,7 +84,6 @@ class DiskStore {
   /// Live item count (dead slots awaiting reuse are not items).
   std::size_t size() const { return items_.size() - freeSlots_.size(); }
   std::size_t logBytes() const { return logBytes_; }
-  std::size_t liveBytes() const { return liveBytes_; }
   std::uint64_t compactions() const { return compactions_; }
   /// Records dropped during replay because of a torn/corrupt tail.
   std::uint64_t truncatedOnReplay() const { return truncatedOnReplay_; }

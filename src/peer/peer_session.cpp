@@ -89,7 +89,6 @@ void PeerSession::startHandshake() {
 void PeerSession::sendFrame(const FrameBody& frame) {
   if (state_ == State::kClosed) return;
   writeQueue_.push_back(encodeFrame(frame));
-  ++framesOut_;
   // Try an eager flush: most frames fit the socket buffer, and waiting for
   // the next poll round would add latency for nothing.
   if (state_ != State::kConnecting && !handleWritable()) return;
@@ -127,7 +126,6 @@ bool PeerSession::handleReadable() {
   while (true) {
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
-      bytesIn_ += static_cast<std::uint64_t>(n);
       readBuffer_.insert(readBuffer_.end(), chunk, chunk + n);
       if (!processFrames()) return false;
       continue;
@@ -154,7 +152,6 @@ bool PeerSession::processFrames() {
       return false;
     }
     offset += r.consumed;
-    ++framesIn_;
     armIdleTimer();
 
     const FrameBody& frame = *r.frame;
@@ -208,7 +205,6 @@ bool PeerSession::handleWritable() {
       closeInternal("write error", false);
       return false;
     }
-    bytesOut_ += static_cast<std::uint64_t>(n);
     writeOffset_ += static_cast<std::size_t>(n);
     if (writeOffset_ == head.size()) {
       writeQueue_.pop_front();

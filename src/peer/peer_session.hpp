@@ -78,11 +78,6 @@ class PeerSession {
   NodeId peerNode() const { return peerNode_; }
   bool outbound() const { return outbound_; }
 
-  std::uint64_t bytesIn() const { return bytesIn_; }
-  std::uint64_t bytesOut() const { return bytesOut_; }
-  std::uint64_t framesIn() const { return framesIn_; }
-  std::uint64_t framesOut() const { return framesOut_; }
-
  private:
   enum class State : std::uint8_t { kIdle, kConnecting, kHelloWait, kEstablished, kClosed };
 
@@ -109,10 +104,6 @@ class PeerSession {
   std::size_t writeOffset_ = 0;  ///< bytes of the head frame already sent
   EventLoop::TimerId helloTimer_ = 0;
   EventLoop::TimerId idleTimer_ = 0;
-  std::uint64_t bytesIn_ = 0;
-  std::uint64_t bytesOut_ = 0;
-  std::uint64_t framesIn_ = 0;
-  std::uint64_t framesOut_ = 0;
 };
 
 }  // namespace dtncache::peer

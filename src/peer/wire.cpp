@@ -175,19 +175,6 @@ FrameType frameTypeOf(const FrameBody& body) {
   return std::visit(Visitor{}, body);
 }
 
-const char* frameTypeName(FrameType type) {
-  switch (type) {
-    case FrameType::kHello: return "hello";
-    case FrameType::kVersionVector: return "version_vector";
-    case FrameType::kRefreshPush: return "refresh_push";
-    case FrameType::kQuery: return "query";
-    case FrameType::kReply: return "reply";
-    case FrameType::kReparent: return "reparent";
-    case FrameType::kBye: return "bye";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> encodeFrame(const FrameBody& body) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + 64);

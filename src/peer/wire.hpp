@@ -101,7 +101,6 @@ using FrameBody =
     std::variant<Hello, VersionVector, RefreshPush, Query, Reply, Reparent, Bye>;
 
 FrameType frameTypeOf(const FrameBody& body);
-const char* frameTypeName(FrameType type);
 
 /// Serialize one frame (header + payload). Total size is bounded by the
 /// payload cap, which encodeFrame enforces with a check — encoding is

@@ -29,8 +29,4 @@ double ZipfSampler::probability(std::size_t k) const {
   return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
 }
 
-std::size_t Rng::zipfOnce(std::size_t n, double s) {
-  return ZipfSampler(n, s).sample(*this);
-}
-
 }  // namespace dtncache::sim

@@ -62,18 +62,6 @@ class Rng {
     return std::exponential_distribution<double>(rate)(engine_);
   }
 
-  double normal(double mean, double stddev) {
-    DTNCACHE_CHECK(stddev >= 0.0);
-    if (stddev == 0.0) return mean;
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
-  int poisson(double mean) {
-    DTNCACHE_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    return std::poisson_distribution<int>(mean)(engine_);
-  }
-
   /// Pareto (type I) with scale x_m > 0 and shape alpha > 0.
   /// Heavy-tailed; used for heterogeneous pairwise contact rates.
   double pareto(double xm, double alpha) {
@@ -89,11 +77,6 @@ class Rng {
     const double u = uniform() * fCap;
     return xm / std::pow(1.0 - u, 1.0 / alpha);
   }
-
-  /// Zipf over {0, .., n-1} with exponent s (s=0 is uniform). Item 0 is the
-  /// most popular. O(n) setup per call is avoided by the caller caching a
-  /// ZipfSampler; this helper is for one-off draws in tests.
-  std::size_t zipfOnce(std::size_t n, double s);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -7,31 +7,6 @@ namespace dtncache::sim {
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {
-  DTNCACHE_CHECK(hi > lo);
-  DTNCACHE_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::percentile(double q) const {
-  DTNCACHE_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return 0.0;
-  const auto target = static_cast<double>(total_) * q;
-  double running = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    running += static_cast<double>(counts_[i]);
-    if (running >= target) return binLow(i) + width_ / 2.0;
-  }
-  return hi_;
-}
-
 std::vector<TimeSeries::Point> TimeSeries::resampled(std::size_t n) const {
   if (points_.size() <= n || n == 0) return points_;
   std::vector<Point> out;

@@ -6,7 +6,6 @@
 /// - Accumulator: streaming count/mean/variance/min/max (Welford).
 /// - TimeWeightedMean: average of a piecewise-constant signal over sim time
 ///   (the right notion for "fraction of fresh copies").
-/// - Histogram: fixed-bin counts with percentile queries.
 /// - TimeSeries: (t, value) samples for time plots.
 
 #include <cstddef>
@@ -96,28 +95,6 @@ class TimeWeightedMean {
   SimTime lastTime_;
   double current_ = 0.0;
   double integral_ = 0.0;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples clamp to
-/// the edge bins so percentiles remain meaningful.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t count() const { return total_; }
-
-  /// Value below which fraction q of samples fall (bin-midpoint estimate).
-  double percentile(double q) const;
-
-  double binLow(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  std::size_t binCount(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Sequence of (time, value) samples for plotting a signal over time.

@@ -37,8 +37,6 @@ namespace dtncache::trace {
 /// other layer that flat-keys id pairs (estimator pair table, cooperative
 /// cache reply dedup).
 inline std::uint64_t pairKey(NodeId a, NodeId b) { return core::packSymmetricPair(a, b); }
-inline NodeId pairKeyLo(std::uint64_t key) { return core::pairHigh(key); }
-inline NodeId pairKeyHi(std::uint64_t key) { return core::pairLow(key); }
 
 /// One pairwise encounter. `a < b` is normalized on insertion.
 struct Contact {

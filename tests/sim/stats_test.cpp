@@ -79,27 +79,6 @@ TEST(TimeWeightedMean, CurrentValueTracksLastUpdate) {
   EXPECT_DOUBLE_EQ(m.currentValue(), 0.25);
 }
 
-TEST(Histogram, CountsAndPercentiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.percentile(0.5), 4.5, 1.0);
-  EXPECT_NEAR(h.percentile(1.0), 9.5, 1.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdgeBins) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(100.0);
-  EXPECT_EQ(h.binCount(0), 1u);
-  EXPECT_EQ(h.binCount(9), 1u);
-}
-
-TEST(Histogram, EmptyPercentileIsZero) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-}
-
 TEST(TimeSeries, RecordsPoints) {
   TimeSeries s;
   s.record(1.0, 10.0);
