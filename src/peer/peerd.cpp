@@ -150,6 +150,16 @@ bool Peerd::openListenSocket() {
   return true;
 }
 
+std::unique_ptr<Peerd::SessionState> Peerd::makeSessionState() {
+  auto state = std::make_unique<SessionState>();
+  state->session = std::make_unique<PeerSession>(
+      *loop_, *this,
+      PeerSession::Config{config_.node, config_.nodeCount, config_.itemCount,
+                          config_.helloTimeoutSeconds, config_.idleTimeoutSeconds});
+  state->known.assign(config_.itemCount, 0);
+  return state;
+}
+
 void Peerd::acceptReady() {
   while (true) {
     const int fd = ::accept(listenFd_, nullptr, nullptr);
@@ -157,12 +167,7 @@ void Peerd::acceptReady() {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       return;  // transient accept failure; the listen socket stays armed
     }
-    auto state = std::make_unique<SessionState>();
-    state->session = std::make_unique<PeerSession>(
-        *loop_, *this,
-        PeerSession::Config{config_.node, config_.nodeCount, config_.itemCount,
-                            config_.helloTimeoutSeconds, config_.idleTimeoutSeconds});
-    state->known.assign(config_.itemCount, 0);
+    auto state = makeSessionState();
     PeerSession* session = state->session.get();
     sessions_.push_back(std::move(state));
     session->adopt(fd);
@@ -174,12 +179,7 @@ void Peerd::dialPeer(std::size_t dialIndex) {
   if (dial.session != nullptr || stopping_) return;
   if (dial.failures > 0 && ctrReconnects_ != nullptr) ctrReconnects_->add();
 
-  auto state = std::make_unique<SessionState>();
-  state->session = std::make_unique<PeerSession>(
-      *loop_, *this,
-      PeerSession::Config{config_.node, config_.nodeCount, config_.itemCount,
-                          config_.helloTimeoutSeconds, config_.idleTimeoutSeconds});
-  state->known.assign(config_.itemCount, 0);
+  auto state = makeSessionState();
   state->dialIndex = dialIndex;
   PeerSession* session = state->session.get();
   dial.session = session;
@@ -349,6 +349,21 @@ void Peerd::sendPush(SessionState& state, data::ItemId item, data::Version versi
   state.session->sendFrame(std::move(push));
 }
 
+void Peerd::offerPush(SessionState& state, data::ItemId item, data::Version version) {
+  if (!mayPushTo(item, state.session->peerNode())) return;
+  const data::Version known = state.known[item];
+  if (cache::ContactProtocol::decidePush(known == 0 ? std::nullopt : std::make_optional(known),
+                                         version, true) == cache::PushVerdict::kSend)
+    sendPush(state, item, version);
+}
+
+void Peerd::offerPushToAll(data::ItemId item, data::Version version,
+                           const SessionState* except) {
+  for (const auto& state : sessions_)
+    if (state.get() != except && state->session->established())
+      offerPush(*state, item, version);
+}
+
 bool Peerd::mayPushTo(data::ItemId item, NodeId peer) const {
   if (config_.pushPolicy == PushPolicy::kAny) return true;
   return parentFor(item, peer) == config_.node;
@@ -383,16 +398,8 @@ void Peerd::handleVersionVector(SessionState& state, const VersionVector& vv) {
     if (e.item < config_.itemCount)
       state.known[e.item] = std::max(state.known[e.item], e.version);
 
-  for (data::ItemId item = 0; item < config_.itemCount; ++item) {
-    const auto ours = store_->heldVersion(item);
-    if (!ours || !mayPushTo(item, peer)) continue;
-    const std::optional<data::Version> theirs =
-        state.known[item] == 0 ? std::nullopt
-                               : std::make_optional(state.known[item]);
-    if (cache::ContactProtocol::decidePush(theirs, *ours, true) ==
-        cache::PushVerdict::kSend)
-      sendPush(state, item, *ours);
-  }
+  for (data::ItemId item = 0; item < config_.itemCount; ++item)
+    if (const auto ours = store_->heldVersion(item)) offerPush(state, item, *ours);
 }
 
 void Peerd::handlePush(SessionState& state, const RefreshPush& push) {
@@ -412,17 +419,7 @@ void Peerd::handlePush(SessionState& state, const RefreshPush& push) {
 
   // Relay down the refresh tree: the push that reached us is our cue to
   // refresh the nodes we are responsible for.
-  for (const auto& other : sessions_) {
-    if (other.get() == &state || !other->session->established()) continue;
-    const NodeId peer = other->session->peerNode();
-    if (!mayPushTo(push.item, peer)) continue;
-    if (cache::ContactProtocol::decidePush(
-            other->known[push.item] == 0
-                ? std::nullopt
-                : std::make_optional(other->known[push.item]),
-            push.version, true) == cache::PushVerdict::kSend)
-      sendPush(*other, push.item, push.version);
-  }
+  offerPushToAll(push.item, push.version, &state);
 }
 
 void Peerd::handleQuery(SessionState& state, const Query& query) {
@@ -486,16 +483,7 @@ void Peerd::bumpTick() {
     store_->install(item, version, makePayload(item, version), now);
     DTNCACHE_EVENT(tracer_, obs::EventKind::kVersionBump, now, {"item", item},
                    {"version", version});
-    for (const auto& state : sessions_) {
-      if (!state->session->established()) continue;
-      const NodeId peer = state->session->peerNode();
-      if (!mayPushTo(item, peer)) continue;
-      if (cache::ContactProtocol::decidePush(
-              state->known[item] == 0 ? std::nullopt
-                                      : std::make_optional(state->known[item]),
-              version, true) == cache::PushVerdict::kSend)
-        sendPush(*state, item, version);
-    }
+    offerPushToAll(item, version);
   }
   bumpTimer_ = loop_->runAfter(config_.bumpIntervalSeconds, [this] { bumpTick(); });
 }

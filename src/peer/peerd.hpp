@@ -129,6 +129,8 @@ class Peerd : public PeerSession::Handler {
   };
 
   bool openListenSocket();
+  /// A fresh, unconnected session with nothing known of its peer.
+  std::unique_ptr<SessionState> makeSessionState();
   void acceptReady();
   void dialPeer(std::size_t dialIndex);
   void scheduleRedial(std::size_t dialIndex);
@@ -139,6 +141,13 @@ class Peerd : public PeerSession::Handler {
 
   void sendVersionVector(SessionState& state);
   void sendPush(SessionState& state, data::ItemId item, data::Version version);
+  /// Push `version` of `item` to `state`'s peer if this daemon may push it
+  /// there and the peer is not known to hold it already.
+  void offerPush(SessionState& state, data::ItemId item, data::Version version);
+  /// offerPush on every established session but `except`, in sessions_
+  /// order.
+  void offerPushToAll(data::ItemId item, data::Version version,
+                      const SessionState* except = nullptr);
   /// May this daemon push `item` to `peer` under the configured policy?
   bool mayPushTo(data::ItemId item, NodeId peer) const;
   NodeId parentFor(data::ItemId item, NodeId node) const;
