@@ -146,7 +146,13 @@ int main(int argc, char** argv) {
     config.tracer = tracer.get();
   }
 
-  const auto out = runner::runExperiment(config);
+  runner::ExperimentOutput out;
+  try {  // e.g. a trace file with too few nodes for the preset's caching sets
+    out = runner::runExperiment(config);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
   if (tracer != nullptr) {
     tracer->flushTo(*traceStream);

@@ -102,8 +102,8 @@ void PullScheme::checkAges(cache::CooperativeCache& cache, sim::SimTime t) {
     const sim::SimTime tau = cache.catalog().spec(item).refreshPeriod;
     const sim::SimTime trigger = kAgeTriggerFraction * tau;
     for (NodeId n : cache.cachingNodesOf(item)) {
-      const cache::CacheEntry* e = cache.storeOf(n).find(item);
-      if (e == nullptr || t - e->receivedAt < trigger) continue;
+      const std::optional<cache::CacheEntry> e = cache.store().find(n, item);
+      if (!e || t - e->receivedAt < trigger) continue;
 
       sim::SimTime& outstanding = outstanding_[static_cast<std::size_t>(n) * items + item];
       if (outstanding > t) continue;  // a pull is already in flight

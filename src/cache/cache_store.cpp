@@ -1,156 +1,149 @@
 #include "cache/cache_store.hpp"
 
-#include <algorithm>
-
 namespace dtncache::cache {
 
-std::uint32_t CacheStore::allocSlot() {
-  if (!freeSlots_.empty()) {
-    const std::uint32_t slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    return slot;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+CacheStore::CacheStore(std::size_t rows, std::size_t itemCount, std::size_t capacityBytes)
+    : itemCount_(itemCount),
+      capacityBytes_(capacityBytes),
+      rows_(rows),
+      hot_(rows * itemCount),
+      cold_(rows * itemCount) {
+  DTNCACHE_CHECK_MSG(itemCount < kNil, "item ids must fit the LRU links");
 }
 
-void CacheStore::linkMru(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.lruPrev = lruTail_;
-  s.lruNext = kNil;
-  if (lruTail_ != kNil) slots_[lruTail_].lruNext = slot;
-  lruTail_ = slot;
-  if (lruHead_ == kNil) lruHead_ = slot;
+CacheEntry CacheStore::entryAt(NodeId row, data::ItemId item) const {
+  const HeldCopy& h = hot_[at(row, item)];
+  const Cold& c = cold_[at(row, item)];
+  return CacheEntry{item, h.version, c.sizeBytes, c.receivedAt, h.expiresAt};
 }
 
-void CacheStore::unlink(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  if (s.lruPrev != kNil) slots_[s.lruPrev].lruNext = s.lruNext;
-  else lruHead_ = s.lruNext;
-  if (s.lruNext != kNil) slots_[s.lruNext].lruPrev = s.lruPrev;
-  else lruTail_ = s.lruPrev;
-  s.lruPrev = s.lruNext = kNil;
+void CacheStore::linkMru(NodeId row, data::ItemId item) {
+  Row& r = rows_[row];
+  Cold& c = cold_[at(row, item)];
+  c.lruPrev = r.lruTail;
+  c.lruNext = kNil;
+  if (r.lruTail != kNil) cold_[at(row, r.lruTail)].lruNext = item;
+  r.lruTail = item;
+  if (r.lruHead == kNil) r.lruHead = item;
 }
 
-void CacheStore::releaseSlot(std::uint32_t slot) {
-  slots_[slot].live = false;
-  freeSlots_.push_back(slot);
+void CacheStore::unlink(NodeId row, data::ItemId item) {
+  Row& r = rows_[row];
+  Cold& c = cold_[at(row, item)];
+  if (c.lruPrev != kNil) cold_[at(row, c.lruPrev)].lruNext = c.lruNext;
+  else r.lruHead = c.lruNext;
+  if (c.lruNext != kNil) cold_[at(row, c.lruNext)].lruPrev = c.lruPrev;
+  else r.lruTail = c.lruPrev;
+  c.lruPrev = c.lruNext = kNil;
 }
 
-InsertResult CacheStore::insert(data::ItemId item, data::Version version,
+void CacheStore::release(NodeId row, data::ItemId item) {
+  Row& r = rows_[row];
+  HeldCopy& h = hot_[at(row, item)];
+  r.usedBytes -= cold_[at(row, item)].sizeBytes;
+  --r.count;
+  unlink(row, item);
+  // Only losing the entry that held the max can lower the bound; ties
+  // rescan too (the max may survive in a twin).
+  if (h.expiresAt == r.latestExpiry) r.expiryDirty = true;
+  h = HeldCopy{};
+}
+
+InsertResult CacheStore::insert(NodeId row, data::ItemId item, data::Version version,
                                 std::uint32_t sizeBytes, sim::SimTime now,
                                 sim::SimTime expiresAt) {
+  checkBounds(row, item);
+  DTNCACHE_CHECK_MSG(expiresAt > kNotHeld, "a copy must expire after -inf");
   InsertResult result;
   if (sizeBytes > capacityBytes_) {
     result.kind = InsertResult::Kind::kRejected;
     return result;
   }
 
-  if (const std::uint32_t slot = index_.find(item); slot != core::SlotIndex::kNoSlot) {
-    CacheEntry& e = slots_[slot].entry;
-    if (e.version >= version) {
+  Row& r = rows_[row];
+  HeldCopy& h = hot_[at(row, item)];
+  Cold& c = cold_[at(row, item)];
+  if (h.expiresAt != kNotHeld) {
+    if (h.version >= version) {
       result.kind = InsertResult::Kind::kAlreadyCurrent;
       return result;
     }
     result.kind = InsertResult::Kind::kUpgraded;
-    result.previousVersion = e.version;
+    result.previousVersion = h.version;
     // Same item: occupancy may change if the item size changed between
     // versions (it does not in our catalogs, but stay correct). Recency is
     // untouched — an upgrade is a push, not a local access.
-    usedBytes_ -= e.sizeBytes;
-    usedBytes_ += sizeBytes;
-    e.version = version;
-    e.sizeBytes = sizeBytes;
-    e.receivedAt = now;
-    const sim::SimTime oldExpiry = e.expiresAt;
-    e.expiresAt = expiresAt;
-    if (expiresAt > latestExpiry_) latestExpiry_ = expiresAt;
-    else if (expiresAt < oldExpiry) noteExpiryChanged(oldExpiry);
-    while (usedBytes_ > capacityBytes_) evictLru(result.evicted);
-    settleExpiryBound();
+    r.usedBytes -= c.sizeBytes;
+    r.usedBytes += sizeBytes;
+    h.version = version;
+    c.sizeBytes = sizeBytes;
+    c.receivedAt = now;
+    const sim::SimTime oldExpiry = h.expiresAt;
+    h.expiresAt = expiresAt;
+    if (expiresAt > r.latestExpiry) r.latestExpiry = expiresAt;
+    else if (expiresAt < oldExpiry && oldExpiry == r.latestExpiry) r.expiryDirty = true;
+    while (r.usedBytes > capacityBytes_) evictLru(row, result.evicted);
+    settleExpiryBound(row);
     return result;
   }
 
-  while (usedBytes_ + sizeBytes > capacityBytes_) evictLru(result.evicted);
-  const std::uint32_t slot = allocSlot();
-  Slot& s = slots_[slot];
-  s.entry = CacheEntry{};
-  s.entry.item = item;
-  s.entry.version = version;
-  s.entry.sizeBytes = sizeBytes;
-  s.entry.receivedAt = now;
-  s.entry.lastAccess = now;
-  s.entry.expiresAt = expiresAt;
-  s.live = true;
-  index_.insert(item, slot);
-  linkMru(slot);
-  usedBytes_ += sizeBytes;
-  if (expiresAt > latestExpiry_) latestExpiry_ = expiresAt;
+  while (r.usedBytes + sizeBytes > capacityBytes_) evictLru(row, result.evicted);
+  h = HeldCopy{version, expiresAt};
+  c.sizeBytes = sizeBytes;
+  c.receivedAt = now;
+  linkMru(row, item);
+  r.usedBytes += sizeBytes;
+  ++r.count;
+  if (expiresAt > r.latestExpiry) r.latestExpiry = expiresAt;
   result.kind = InsertResult::Kind::kInserted;
-  settleExpiryBound();
+  settleExpiryBound(row);
   return result;
 }
 
-void CacheStore::recordAccess(data::ItemId item, sim::SimTime now) {
-  const std::uint32_t slot = index_.find(item);
-  if (slot == core::SlotIndex::kNoSlot) return;
-  Slot& s = slots_[slot];
-  s.entry.lastAccess = now;
-  ++s.entry.accessCount;
-  if (lruTail_ != slot) {
-    unlink(slot);
-    linkMru(slot);
-  }
+std::optional<CacheEntry> CacheStore::find(NodeId row, data::ItemId item) const {
+  checkBounds(row, item);
+  if (held(row, item).expiresAt == kNotHeld) return std::nullopt;
+  return entryAt(row, item);
 }
 
-std::optional<CacheEntry> CacheStore::remove(data::ItemId item) {
-  const std::uint32_t slot = index_.erase(item);
-  if (slot == core::SlotIndex::kNoSlot) return std::nullopt;
-  const CacheEntry e = slots_[slot].entry;
-  usedBytes_ -= e.sizeBytes;
-  unlink(slot);
-  releaseSlot(slot);
-  noteExpiryChanged(e.expiresAt);
-  settleExpiryBound();
+void CacheStore::recordAccess(NodeId row, data::ItemId item) {
+  checkBounds(row, item);
+  if (held(row, item).expiresAt == kNotHeld || rows_[row].lruTail == item) return;
+  unlink(row, item);
+  linkMru(row, item);
+}
+
+std::optional<CacheEntry> CacheStore::remove(NodeId row, data::ItemId item) {
+  const std::optional<CacheEntry> e = find(row, item);
+  if (!e) return std::nullopt;
+  release(row, item);
+  settleExpiryBound(row);
   return e;
 }
 
-std::vector<const CacheEntry*> CacheStore::entries() const {
-  std::vector<const CacheEntry*> out;
-  out.reserve(index_.size());
-  for (const Slot& s : slots_)
-    if (s.live) out.push_back(&s.entry);
-  std::sort(out.begin(), out.end(),
-            [](const CacheEntry* a, const CacheEntry* b) { return a->item < b->item; });
+std::vector<CacheEntry> CacheStore::entries(NodeId row) const {
+  std::vector<CacheEntry> out;
+  out.reserve(size(row));
+  forEachEntry(row, [&](const CacheEntry& e) { out.push_back(e); });
   return out;
 }
 
-void CacheStore::evictLru(std::vector<CacheEntry>& out) {
-  DTNCACHE_CHECK(lruHead_ != kNil);
-  // Sim time is nondecreasing, so the list head is an entry with the
-  // minimum lastAccess — the same victim class the old timestamp scan
-  // picked, found in O(1).
-  const std::uint32_t victim = lruHead_;
-  out.push_back(slots_[victim].entry);
-  usedBytes_ -= slots_[victim].entry.sizeBytes;
-  index_.erase(slots_[victim].entry.item);
-  noteExpiryChanged(slots_[victim].entry.expiresAt);
-  unlink(victim);
-  releaseSlot(victim);
+void CacheStore::evictLru(NodeId row, std::vector<CacheEntry>& out) {
+  const std::uint32_t victim = rows_[row].lruHead;
+  DTNCACHE_CHECK(victim != kNil);
+  out.push_back(entryAt(row, victim));
+  release(row, victim);
 }
 
-void CacheStore::noteExpiryChanged(sim::SimTime oldExpiry) {
-  // Only losing the entry that held the max can lower the bound; everything
-  // else leaves it exact. Ties rescan too (the max may survive in a twin).
-  if (oldExpiry == latestExpiry_) expiryDirty_ = true;
-}
-
-void CacheStore::settleExpiryBound() {
-  if (!expiryDirty_) return;
-  expiryDirty_ = false;
-  latestExpiry_ = -std::numeric_limits<sim::SimTime>::infinity();
-  for (const Slot& s : slots_)
-    if (s.live && s.entry.expiresAt > latestExpiry_) latestExpiry_ = s.entry.expiresAt;
+void CacheStore::settleExpiryBound(NodeId row) {
+  Row& r = rows_[row];
+  if (!r.expiryDirty) return;
+  r.expiryDirty = false;
+  r.latestExpiry = kNotHeld;
+  // Entries the row does not hold read kNotHeld, so the max needs no filter.
+  for (data::ItemId item = 0; item < itemCount_; ++item)
+    if (hot_[at(row, item)].expiresAt > r.latestExpiry)
+      r.latestExpiry = hot_[at(row, item)].expiresAt;
 }
 
 }  // namespace dtncache::cache

@@ -4,7 +4,6 @@
 
 #include "cache/centrality.hpp"
 #include "cache/contact_protocol.hpp"
-#include "obs/alloc_hook.hpp"
 #include "sim/assert.hpp"
 
 namespace dtncache::cache {
@@ -30,7 +29,7 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
       collector_(collector),
       config_(config),
       nodeCount_(network.nodeCount()),
-      itemCount_(catalog.size()) {
+      store_(nodeCount_, catalog.size(), config_.cacheCapacityBytes) {
   DTNCACHE_CHECK(nodeCount_ >= 2);
   DTNCACHE_CHECK(!catalog_.empty());
 
@@ -50,13 +49,8 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
   DTNCACHE_CHECK_MSG(maxSetSize < nodeCount_,
                      "need at least one non-caching node as the source");
 
-  held_.resize(nodeCount_ * itemCount_);
-  stores_.reserve(nodeCount_);
   buffers_.reserve(nodeCount_);
-  for (std::size_t i = 0; i < nodeCount_; ++i) {
-    stores_.emplace_back(config_.cacheCapacityBytes);
-    buffers_.emplace_back(config_.bufferCapacityBytes);
-  }
+  for (std::size_t i = 0; i < nodeCount_; ++i) buffers_.emplace_back(config_.bufferCapacityBytes);
 
   // Central ordering once; +1 head-room in case a source must be skipped.
   const std::vector<NodeId> centralOrder = selectNcls(
@@ -95,8 +89,7 @@ void CooperativeCache::setObservability(obs::Tracer* tracer, obs::Registry* regi
     ctrHandshakeTruncated_ = ctrPushDelivered_ = ctrPushNoop_ = ctrPushDenied_ =
         ctrInstallInserted_ = ctrInstallUpgraded_ = ctrInstallEvicted_ =
             ctrQueryLocalHit_ = ctrQuerySprayed_ = ctrReplyDelivered_ =
-                ctrFenceContacts_ = ctrBoringContacts_ = ctrFenceFromExpiredOnly_ =
-                    ctrHotPathAllocs_ = nullptr;
+                ctrFenceContacts_ = ctrBoringContacts_ = ctrFenceFromExpiredOnly_ = nullptr;
     return;
   }
   ctrHandshakeTruncated_ = &registry->counter("cache.handshake.truncated");
@@ -112,8 +105,6 @@ void CooperativeCache::setObservability(obs::Tracer* tracer, obs::Registry* regi
   ctrFenceContacts_ = &registry->counter("shard.fence_contacts");
   ctrBoringContacts_ = &registry->counter("shard.boring_contacts");
   ctrFenceFromExpiredOnly_ = &registry->counter("shard.fence_from_expired_only");
-  if (obs::allocHookEnabled())
-    ctrHotPathAllocs_ = &registry->counter("cache.hot_path.allocs");
 }
 
 void CooperativeCache::start(data::SourceProcess& sources, data::QueryWorkload* workload,
@@ -199,11 +190,6 @@ void CooperativeCache::injectMessage(NodeId at, net::Message m, sim::SimTime now
   buffers_[at].add(m, now);
 }
 
-const CacheStore& CooperativeCache::storeOf(NodeId n) const {
-  DTNCACHE_CHECK(n < nodeCount_);
-  return stores_[n];
-}
-
 net::MessageBuffer& CooperativeCache::bufferOf(NodeId n) {
   DTNCACHE_CHECK(n < nodeCount_);
   return buffers_[n];
@@ -218,7 +204,7 @@ double CooperativeCache::validFraction(sim::SimTime t) const {
   std::size_t total = 0;
   std::size_t valid = 0;
   for (NodeId n = 0; n < nodeCount_; ++n) {
-    stores_[n].forEachEntry([&](const CacheEntry& e) {
+    store_.forEachEntry(n, [&](const CacheEntry& e) {
       ++total;
       if (catalog_.clock(e.item).isValid(e.version, t)) ++valid;
     });
@@ -231,20 +217,17 @@ double CooperativeCache::validFraction(sim::SimTime t) const {
 void CooperativeCache::installCopy(NodeId at, data::ItemId item, data::Version v,
                                    sim::SimTime t) {
   const sim::SimTime expiresAt = catalog_.clock(item).expiryTime(v);
-  const auto result =
-      stores_[at].insert(item, v, catalog_.spec(item).sizeBytes, t, expiresAt);
-  // held_ follows the store: the new or upgraded copy first, then every
-  // victim (an upgrade that outgrows the cache may evict the item itself).
+  const auto result = store_.insert(at, item, v, catalog_.spec(item).sizeBytes, t, expiresAt);
+  // The new or upgraded copy first, then every victim (an upgrade that
+  // outgrows the cache may evict the item itself).
   switch (result.kind) {
     case InsertResult::Kind::kInserted:
-      held_[heldSlot(at, item)] = HeldCopy{v, expiresAt};
       collector_.copyInstalled(item, v, t);
       if (ctrInstallInserted_ != nullptr) ctrInstallInserted_->add();
       DTNCACHE_EVENT(tracer_, obs::EventKind::kInstall, t, {"at", at}, {"item", item},
                      {"version", v}, {"how", "insert"});
       break;
     case InsertResult::Kind::kUpgraded:
-      held_[heldSlot(at, item)] = HeldCopy{v, expiresAt};
       collector_.copyUpgraded(item, result.previousVersion, v, t);
       if (ctrInstallUpgraded_ != nullptr) ctrInstallUpgraded_->add();
       DTNCACHE_EVENT(tracer_, obs::EventKind::kInstall, t, {"at", at}, {"item", item},
@@ -255,7 +238,6 @@ void CooperativeCache::installCopy(NodeId at, data::ItemId item, data::Version v
       break;
   }
   for (const CacheEntry& victim : result.evicted) {
-    held_[heldSlot(at, victim.item)] = HeldCopy{};
     collector_.copyEvicted(victim.item, victim.version, t);
     if (ctrInstallEvicted_ != nullptr) ctrInstallEvicted_->add();
   }
@@ -281,10 +263,11 @@ void CooperativeCache::handleQuery(const data::Query& q) {
                    {"item", q.item}, {"query", q.id}, {"fresh", true});
     return;
   }
-  if (const CacheEntry* e = stores_[q.requester].find(q.item);
-      e != nullptr && clock.isValid(e->version, t)) {
-    stores_[q.requester].recordAccess(q.item, t);
-    const bool fresh = clock.isFresh(e->version, t);
+  // The hot part's expiresAt is the clock's expiryTime, so this is its
+  // isValid test (and fails when nothing is held).
+  if (const HeldCopy& held = store_.held(q.requester, q.item); t < held.expiresAt) {
+    store_.recordAccess(q.requester, q.item);
+    const bool fresh = clock.isFresh(held.version, t);
     collector_.queryAnswered(q.id, t, fresh, true, true);
     if (ctrQueryLocalHit_ != nullptr) ctrQueryLocalHit_->add();
     DTNCACHE_EVENT(tracer_, obs::EventKind::kQueryLocalHit, t, {"node", q.requester},
@@ -306,26 +289,9 @@ void CooperativeCache::handleQuery(const data::Query& q) {
   buffers_[q.requester].add(m, t);
 }
 
-namespace {
-/// Accumulates the allocations a handleContact performs into the hot-path
-/// counter on scope exit (covers the truncated-handshake early return).
-/// No-op outside DTNCACHE_ALLOC_HOOK builds: the counter is never
-/// registered there and threadAllocCount() is constant 0.
-struct HotPathAllocProbe {
-  explicit HotPathAllocProbe(obs::Counter* ctr)
-      : ctr_(ctr), start_(obs::threadAllocCount()) {}
-  ~HotPathAllocProbe() {
-    if (ctr_ != nullptr) ctr_->add(obs::threadAllocCount() - start_);
-  }
-  obs::Counter* ctr_;
-  std::uint64_t start_;
-};
-}  // namespace
-
 void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
                                      sim::SimTime duration, net::ContactChannel& channel) {
   (void)duration;
-  const HotPathAllocProbe allocProbe(ctrHotPathAllocs_);
   estimator_.recordContact(a, b, t);
 
   // Fence-density accounting, computed here — not in the sharded driver — so
@@ -384,14 +350,15 @@ void CooperativeCache::handleContact(NodeId a, NodeId b, sim::SimTime t,
 }
 
 bool CooperativeCache::canAnswer(NodeId node, data::ItemId item, sim::SimTime t) const {
-  // held_'s expiresAt is the clock's expiryTime, so this is its isValid test.
-  return node == sourceOf(item) || t < held_[heldSlot(node, item)].expiresAt;
+  // The hot part's expiresAt is the clock's expiryTime, so this is its
+  // isValid test.
+  return node == sourceOf(item) || t < store_.held(node, item).expiresAt;
 }
 
 void CooperativeCache::makeReply(NodeId answerer, const net::Message& query, sim::SimTime t) {
   const auto held = heldVersion(answerer, query.item, t);
   DTNCACHE_CHECK(held.has_value());
-  if (answerer != sourceOf(query.item)) stores_[answerer].recordAccess(query.item, t);
+  if (answerer != sourceOf(query.item)) store_.recordAccess(answerer, query.item);
 
   net::Message r;
   r.id = nextMessageId();

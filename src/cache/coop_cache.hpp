@@ -6,7 +6,8 @@
 /// Responsibilities:
 ///   - choose the caching-node set of every item (NCL greedy-coverage
 ///     ordering of the network, first R non-source nodes per item);
-///   - keep per-node CacheStores and per-node store-carry-forward buffers;
+///   - keep every node's cached copies (one CacheStore row per node) and
+///     per-node store-carry-forward buffers;
 ///   - serve queries: local hit, or spray a query toward the item's caching
 ///     set, generate a reply at the first valid holder, route it back;
 ///   - account every transferred byte by traffic category;
@@ -18,7 +19,6 @@
 /// One CooperativeCache instance = one simulation run.
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -87,7 +87,7 @@ class CooperativeCache {
   /// Version of `item` node `n` can currently provide: the live version for
   /// the source, the cached version for a holder, nullopt otherwise. Every
   /// scheme reads it for every item at every contact, so it is inline and
-  /// one indexed load into the held-copy table.
+  /// one indexed load into the store's hot part.
   std::optional<data::Version> heldVersion(NodeId n, data::ItemId item, sim::SimTime t) const {
     const data::VersionClock& clock = catalog_.clock(item);
     if (n == clock.spec().source) return clock.currentVersion(t);
@@ -97,7 +97,7 @@ class CooperativeCache {
     // heldVersion consistent with the activity fence, which classifies
     // expired-only holders as inert. installCopy records exactly
     // clock.expiryTime(v), so `t < expiresAt` is the clock's isValid test.
-    const HeldCopy& c = held_[heldSlot(n, item)];
+    const HeldCopy& c = store_.held(n, item);
     if (t < c.expiresAt) return c.version;
     return std::nullopt;
   }
@@ -112,7 +112,7 @@ class CooperativeCache {
   /// worker thread passes it, so a scheme that checks it first reads no
   /// planning state on those contacts.
   bool providesAny(NodeId n, sim::SimTime t) const {
-    return sourceNode_.test(n) || stores_[n].hasUnexpired(t);
+    return sourceNode_.test(n) || store_.hasUnexpired(n, t);
   }
 
   /// Move the newest version `from` holds to `to` (a caching node of the
@@ -163,7 +163,8 @@ class CooperativeCache {
   metrics::MetricsCollector& collector() { return collector_; }
   const CoopCacheConfig& config() const { return config_; }
   std::size_t nodeCount() const { return nodeCount_; }
-  const CacheStore& storeOf(NodeId n) const;
+  /// Every node's cached copies: row n is node n.
+  const CacheStore& store() const { return store_; }
   net::MessageBuffer& bufferOf(NodeId n);
   const net::MessageBuffer& bufferOf(NodeId n) const;
 
@@ -181,14 +182,14 @@ class CooperativeCache {
   /// predicate is monotone-narrowing in `now`, and boring-contact handlers
   /// re-evaluate everything at the contact's own time.
   bool nodeProtocolActive(NodeId n, sim::SimTime now) const {
-    return sourceNode_.test(n) || stores_[n].hasUnexpired(now) || buffers_[n].hasLive(now) ||
+    return sourceNode_.test(n) || store_.hasUnexpired(n, now) || buffers_[n].hasLive(now) ||
            (scheme_ != nullptr && scheme_->contactActive(n));
   }
 
   /// True when `n` holds cached copies or buffered messages but all of them
   /// are expired at `now` — the nodes the watermarks reclassify as inert.
   bool holdsOnlyExpiredContent(NodeId n, sim::SimTime now) const {
-    return (stores_[n].size() > 0 && !stores_[n].hasUnexpired(now)) ||
+    return (store_.size(n) > 0 && !store_.hasUnexpired(n, now)) ||
            (!buffers_[n].empty() && !buffers_[n].hasLive(now));
   }
   /// Fraction of cached copies currently valid (unexpired); full scan.
@@ -211,9 +212,8 @@ class CooperativeCache {
   bool forwardBuffered(NodeId from, NodeId to, sim::SimTime t, net::ContactChannel& channel);
   void makeReply(NodeId answerer, const net::Message& query, sim::SimTime t);
   void deliverReply(const net::Message& reply, sim::SimTime t);
-  /// Install a copy into a caching node's store, reporting to metrics.
-  /// The only place copies enter or leave stores_, and the only writer of
-  /// held_.
+  /// Install a copy into a caching node's store row, reporting to metrics.
+  /// The only place copies enter or leave store_.
   void installCopy(NodeId at, data::ItemId item, data::Version v, sim::SimTime t);
   /// Best estimated rate from `from` to the item's source or any of its
   /// caching nodes: the utility a query copy is sprayed by.
@@ -226,16 +226,6 @@ class CooperativeCache {
   std::uint64_t answeredKey(data::QueryId q, NodeId n) const {
     return q * static_cast<std::uint64_t>(nodeCount_) + n;
   }
-  std::size_t heldSlot(NodeId n, data::ItemId item) const {
-    return static_cast<std::size_t>(n) * itemCount_ + item;
-  }
-
-  /// What a node's store holds of one item: the cached version and the
-  /// instant it stops being valid; expiresAt is -inf while nothing is held.
-  struct HeldCopy {
-    data::Version version = 0;
-    sim::SimTime expiresAt = -std::numeric_limits<sim::SimTime>::infinity();
-  };
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -244,14 +234,9 @@ class CooperativeCache {
   metrics::MetricsCollector& collector_;
   CoopCacheConfig config_;
   std::size_t nodeCount_;
-  std::size_t itemCount_;
 
   RefreshScheme* scheme_ = nullptr;
-  std::vector<CacheStore> stores_;
-  /// Mirror of stores_ at slot heldSlot(n, item), 16 B per (node, item), so
-  /// heldVersion and canAnswer are an indexed load instead of a store probe.
-  /// installCopy writes it beside every store change.
-  std::vector<HeldCopy> held_;
+  CacheStore store_;
   std::vector<net::MessageBuffer> buffers_;
   std::vector<std::vector<NodeId>> cachingNodes_;  ///< per item
   core::DenseBitset cachingBits_;  ///< (item, node) membership, bit item·N + node
@@ -287,10 +272,6 @@ class CooperativeCache {
   obs::Counter* ctrFenceContacts_ = nullptr;
   obs::Counter* ctrBoringContacts_ = nullptr;
   obs::Counter* ctrFenceFromExpiredOnly_ = nullptr;
-  /// Allocation-hook builds only (never registered otherwise, so counter
-  /// columns in result sinks are unchanged): global allocations observed
-  /// inside handleContact, asserted flat in steady state by tests.
-  obs::Counter* ctrHotPathAllocs_ = nullptr;
   net::MessageId nextMessageId_ = 1;
   bool started_ = false;
 };

@@ -37,16 +37,19 @@ KindMask parseKindFilter(const std::string& spec) {
   return mask;
 }
 
-namespace {
-
-void appendEscaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
+void appendJsonString(std::string& out, std::string_view text) {
+  out += '"';
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: out += c;
+    }
   }
+  out += '"';
 }
-
-}  // namespace
 
 void Tracer::emit(EventKind kind, sim::SimTime t, std::initializer_list<Field> fields) {
   // Fixed leading keys (run identity, sim time, kind) then the payload in
@@ -76,9 +79,7 @@ void Tracer::emit(EventKind kind, sim::SimTime t, std::initializer_list<Field> f
         out += f.b ? "true" : "false";
         break;
       case Field::Type::kText:
-        out += '"';
-        appendEscaped(out, f.s);
-        out += '"';
+        appendJsonString(out, f.s);
         break;
     }
   }

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -36,6 +37,11 @@ namespace dtncache::obs {
 /// result sinks: 17 significant digits round-trips any double, and one
 /// fixed formatter keeps serial and parallel output byte-equal.
 std::string jsonNumber(double v);
+
+/// Append `text` to `out` as a JSON string literal: in double quotes, with
+/// double quotes, backslashes, newlines and tabs escaped. The one string
+/// quoter of the event trace, the sweep result sinks and the config dump.
+void appendJsonString(std::string& out, std::string_view text);
 
 /// One typed key/value of an event payload. Keys are string literals at
 /// the emission site; values are integers (node/item/version ids, counts),

@@ -42,9 +42,10 @@ bool writeAll(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-std::vector<std::uint8_t> encodeBody(std::uint8_t kind, data::ItemId item,
-                                     data::Version version,
-                                     const std::vector<std::uint8_t>& payload) {
+/// One whole log record: length and CRC of the body, then the body.
+std::vector<std::uint8_t> encodeRecord(std::uint8_t kind, data::ItemId item,
+                                       data::Version version,
+                                       const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> body;
   body.reserve(kBodyFixedBytes + payload.size());
   body.push_back(kind);
@@ -52,7 +53,12 @@ std::vector<std::uint8_t> encodeBody(std::uint8_t kind, data::ItemId item,
   putU64(body, version);
   putU32(body, static_cast<std::uint32_t>(payload.size()));
   body.insert(body.end(), payload.begin(), payload.end());
-  return body;
+  std::vector<std::uint8_t> record;
+  record.reserve(kRecordHeaderBytes + body.size());
+  putU32(record, static_cast<std::uint32_t>(body.size()));
+  putU32(record, crc32(body.data(), body.size()));
+  record.insert(record.end(), body.begin(), body.end());
+  return record;
 }
 
 }  // namespace
@@ -175,12 +181,7 @@ void DiskStore::applyRemove(data::ItemId item) {
 
 bool DiskStore::appendRecord(std::uint8_t kind, data::ItemId item, data::Version version,
                              const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> body = encodeBody(kind, item, version, payload);
-  std::vector<std::uint8_t> record;
-  record.reserve(kRecordHeaderBytes + body.size());
-  putU32(record, static_cast<std::uint32_t>(body.size()));
-  putU32(record, crc32(body.data(), body.size()));
-  record.insert(record.end(), body.begin(), body.end());
+  const std::vector<std::uint8_t> record = encodeRecord(kind, item, version, payload);
   if (!writeAll(fd_, record.data(), record.size())) return false;
   logBytes_ += record.size();
   return true;
@@ -234,12 +235,8 @@ void DiskStore::maybeCompact() {
   for (std::size_t i = 0; i < items_.size() && ok; ++i) {
     if (!live_[i]) continue;
     const StoredItem& s = items_[i];
-    const std::vector<std::uint8_t> body =
-        encodeBody(kRecordPut, s.item, s.version, s.payload);
-    std::vector<std::uint8_t> record;
-    putU32(record, static_cast<std::uint32_t>(body.size()));
-    putU32(record, crc32(body.data(), body.size()));
-    record.insert(record.end(), body.begin(), body.end());
+    const std::vector<std::uint8_t> record =
+        encodeRecord(kRecordPut, s.item, s.version, s.payload);
     ok = writeAll(tmpFd, record.data(), record.size());
     written += record.size();
   }

@@ -24,10 +24,10 @@
 /// renames it into place (atomic on POSIX).
 ///
 /// `PeerStore` stacks the simulation's byte-bounded LRU `cache::CacheStore`
-/// over a DiskStore the way fs123 stacks its in-memory cache over a disk
-/// backend: the memory tier gives O(1) hot lookups and enforces the cache
-/// budget, the disk tier gives durability and serves misses that fell out
-/// of the memory tier.
+/// (one row, as wide as the catalog) over a DiskStore the way fs123 stacks
+/// its in-memory cache over a disk backend: the memory tier gives O(1) hot
+/// lookups and enforces the cache budget, the disk tier gives durability
+/// and serves misses that fell out of the memory tier.
 
 #include <cstdint>
 #include <optional>
@@ -120,10 +120,15 @@ class DiskStore {
 /// both tiers; reads hit the LRU tier first and repopulate it from disk on
 /// a miss. The disk tier keeps everything (subject to its own compaction),
 /// the memory tier keeps the hot set within the configured byte budget.
+/// Items are the catalog's dense ids in [0, itemCount).
 class PeerStore {
  public:
-  PeerStore(std::size_t memoryCapacityBytes, DiskStore::Config diskConfig)
-      : memory_(memoryCapacityBytes) {
+  /// The memory tier's single row.
+  static constexpr NodeId kRow = 0;
+
+  PeerStore(std::size_t itemCount, std::size_t memoryCapacityBytes,
+            DiskStore::Config diskConfig)
+      : memory_(1, itemCount, memoryCapacityBytes) {
     diskOk_ = disk_.open(std::move(diskConfig));
   }
 
@@ -138,7 +143,7 @@ class PeerStore {
   bool install(data::ItemId item, data::Version version,
                const std::vector<std::uint8_t>& payload, double now) {
     const bool diskNews = diskOk_ && disk_.put(item, version, payload);
-    const auto r = memory_.insert(item, version,
+    const auto r = memory_.insert(kRow, item, version,
                                   static_cast<std::uint32_t>(payload.size()), now);
     const bool memNews = r.kind == cache::InsertResult::Kind::kInserted ||
                          r.kind == cache::InsertResult::Kind::kUpgraded;
@@ -147,7 +152,7 @@ class PeerStore {
 
   /// Version currently held, consulting memory first, then disk.
   std::optional<data::Version> heldVersion(data::ItemId item) const {
-    if (const cache::CacheEntry* e = memory_.find(item)) return e->version;
+    if (const auto e = memory_.find(kRow, item)) return e->version;
     if (diskOk_)
       if (const DiskStore::StoredItem* s = disk_.get(item)) return s->version;
     return std::nullopt;
@@ -159,8 +164,8 @@ class PeerStore {
     if (!diskOk_) return nullptr;
     const DiskStore::StoredItem* s = disk_.get(item);
     if (s == nullptr) return nullptr;
-    memory_.insert(item, s->version, static_cast<std::uint32_t>(s->payload.size()), now);
-    memory_.recordAccess(item, now);
+    memory_.insert(kRow, item, s->version, static_cast<std::uint32_t>(s->payload.size()), now);
+    memory_.recordAccess(kRow, item);
     return s;
   }
 

@@ -67,7 +67,7 @@ bool Peerd::start() {
   validatePeerConfig(config_);
 
   store_ = std::make_unique<PeerStore>(
-      static_cast<std::size_t>(config_.memoryCapacityBytes),
+      config_.itemCount, static_cast<std::size_t>(config_.memoryCapacityBytes),
       DiskStore::Config{config_.storePath,
                         static_cast<std::size_t>(config_.compactThresholdBytes)});
   if (!config_.storePath.empty() && !store_->diskOk()) return false;
@@ -430,8 +430,7 @@ void Peerd::handleQuery(SessionState& state, const Query& query) {
     if (const auto held = store_->heldVersion(query.item)) {
       reply.version = *held;
       reply.hasCopy = true;
-      if (store_->memory().find(query.item) != nullptr)
-        store_->memory().recordAccess(query.item, loop_->now());
+      store_->memory().recordAccess(PeerStore::kRow, query.item);
     }
   }
   state.session->sendFrame(reply);

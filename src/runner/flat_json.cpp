@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cmath>
 
+#include "obs/tracer.hpp"
+
 namespace dtncache::runner {
 namespace {
 
@@ -159,19 +161,10 @@ void FieldBinder::requireAllKnown() const {
 
 bool FieldBinder::integral(double v) { return std::nearbyint(v) == v; }
 
-std::string FieldBinder::quoted(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
+void FieldBinder::emitText(const std::string& key, const std::string& s) const {
+  std::string quoted;
+  obs::appendJsonString(quoted, s);
+  emitRaw(key, quoted);
 }
 
 void FieldBinder::emitNumber(const std::string& key, double v) const {

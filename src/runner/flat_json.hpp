@@ -85,7 +85,7 @@ struct FieldBinder {
   void text(const std::string& key, std::string& field) const {
     knownKeys.push_back(key);
     if (mode == Mode::kDump) {
-      emitRaw(key, quoted(field));
+      emitText(key, field);
       return;
     }
     if (const auto it = values->find(key); it != values->end()) {
@@ -102,7 +102,7 @@ struct FieldBinder {
     if (mode == Mode::kDump) {
       for (const auto& [value, name] : names)
         if (value == field) {
-          emitRaw(key, quoted(name));
+          emitText(key, name);
           return;
         }
       DTNCACHE_CHECK_MSG(false, "unnamed enum value for key '" << key << "'");
@@ -126,7 +126,7 @@ struct FieldBinder {
 
  private:
   static bool integral(double v);
-  static std::string quoted(const std::string& s);
+  void emitText(const std::string& key, const std::string& s) const;
   void emitNumber(const std::string& key, double v) const;
   void emitRaw(const std::string& key, const std::string& v) const;
 };

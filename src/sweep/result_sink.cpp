@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/tracer.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -27,7 +28,9 @@ struct FieldList {
     fields.push_back({key, rendered, rendered});
   }
   void text(const std::string& key, const std::string& value) {
-    fields.push_back({key, '"' + value + '"', value});
+    std::string json;
+    obs::appendJsonString(json, value);
+    fields.push_back({key, json, value});
   }
   /// Non-finite doubles are not JSON; render as null / empty cell.
   void maybe(const std::string& key, double v) {

@@ -42,12 +42,8 @@ std::string jsonScalar(const std::string& raw) {
     std::strtod(raw.c_str(), &end);
     if (end == raw.c_str() + raw.size()) return raw;  // whole string is a number
   }
-  std::string quoted = "\"";
-  for (const char c : raw) {
-    if (c == '"' || c == '\\') quoted += '\\';
-    quoted += c;
-  }
-  quoted += '"';
+  std::string quoted;
+  obs::appendJsonString(quoted, raw);
   return quoted;
 }
 

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -89,13 +90,13 @@ ContactTrace ContactTrace::truncated(sim::SimTime cutoff) const {
 
 ContactTrace ContactTrace::loadCsv(const std::string& path) {
   std::ifstream in(path);
-  DTNCACHE_CHECK_MSG(in.good(), "cannot open trace file " << path);
+  if (!in.good()) throw std::runtime_error("cannot open trace file " + path);
   return readCsv(in);
 }
 
 void ContactTrace::saveCsv(const std::string& path) const {
   std::ofstream out(path);
-  DTNCACHE_CHECK_MSG(out.good(), "cannot write trace file " << path);
+  if (!out.good()) throw std::runtime_error("cannot write trace file " + path);
   writeCsv(out);
 }
 

@@ -89,6 +89,7 @@ class ContactTrace {
   ContactTrace truncated(sim::SimTime cutoff) const;
 
   /// CSV round-trip. Format: header line then `start,duration,a,b` rows.
+  /// A file that cannot be opened throws std::runtime_error.
   static ContactTrace loadCsv(const std::string& path);
   void saveCsv(const std::string& path) const;
   static ContactTrace readCsv(std::istream& in);

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "sim/assert.hpp"
@@ -81,7 +82,7 @@ OneImportResult loadOneConnectivity(std::istream& in) {
 
 OneImportResult loadOneConnectivityFile(const std::string& path) {
   std::ifstream in(path);
-  DTNCACHE_CHECK_MSG(in.good(), "cannot open ONE trace file " << path);
+  if (!in.good()) throw std::runtime_error("cannot open ONE trace file " + path);
   return loadOneConnectivity(in);
 }
 

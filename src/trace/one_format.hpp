@@ -34,6 +34,7 @@ struct OneImportResult {
 };
 
 OneImportResult loadOneConnectivity(std::istream& in);
+/// Throws std::runtime_error when `path` cannot be opened.
 OneImportResult loadOneConnectivityFile(const std::string& path);
 
 }  // namespace dtncache::trace

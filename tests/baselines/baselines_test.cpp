@@ -135,7 +135,7 @@ TEST(Flooding, RelayCopiesAndActivityFollowEachCarrier) {
   EXPECT_EQ(flooding.relayCopies(), 2u);
   EXPECT_FALSE(flooding.contactActive(0));
   EXPECT_FALSE(flooding.contactActive(1));
-  EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 2u);
+  EXPECT_EQ(rig.coop.store().find(1, 0)->version, 2u);
 }
 
 TEST(Invalidation, KnownVersionMergesOnEachContact) {

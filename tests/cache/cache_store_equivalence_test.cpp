@@ -1,11 +1,11 @@
-/// Randomized equivalence suite: the flat slot-vector CacheStore against a
-/// naive reference built on std::unordered_map plus an explicit recency
+/// Randomized equivalence suite: one row of the item-indexed CacheStore
+/// against a naive reference built on std::unordered_map plus an explicit recency
 /// list. The reference encodes the documented contract directly — insert
 /// links most-recently-used, upgrades never touch recency, eviction pops
 /// the least-recently-used end, byte accounting follows entry sizes — so
 /// any divergence in result kinds, eviction victims (including their
-/// order), entry fields, or occupancy is a bug in the flat store's index,
-/// free list, or intrusive LRU threading.
+/// order), entry fields, or occupancy is a bug in the table's presence
+/// marking or intrusive LRU threading.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +55,6 @@ class ReferenceStore {
     e.version = version;
     e.sizeBytes = sizeBytes;
     e.receivedAt = now;
-    e.lastAccess = now;
     map_[item] = e;
     order_.push_back(item);
     used_ += sizeBytes;
@@ -68,11 +67,8 @@ class ReferenceStore {
     return it == map_.end() ? nullptr : &it->second;
   }
 
-  void recordAccess(data::ItemId item, sim::SimTime now) {
-    const auto it = map_.find(item);
-    if (it == map_.end()) return;
-    it->second.lastAccess = now;
-    ++it->second.accessCount;
+  void recordAccess(data::ItemId item) {
+    if (map_.find(item) == map_.end()) return;
     moveToBack(item);
   }
 
@@ -124,27 +120,29 @@ void expectSameEntry(const CacheEntry& a, const CacheEntry& b) {
   EXPECT_EQ(a.version, b.version);
   EXPECT_EQ(a.sizeBytes, b.sizeBytes);
   EXPECT_DOUBLE_EQ(a.receivedAt, b.receivedAt);
-  EXPECT_DOUBLE_EQ(a.lastAccess, b.lastAccess);
-  EXPECT_EQ(a.accessCount, b.accessCount);
+  EXPECT_DOUBLE_EQ(a.expiresAt, b.expiresAt);
 }
 
+/// The row of the store under test.
+constexpr NodeId kRow = 0;
+
 void expectSameState(const CacheStore& store, const ReferenceStore& ref) {
-  ASSERT_EQ(store.size(), ref.size());
-  ASSERT_EQ(store.usedBytes(), ref.usedBytes());
-  const auto entries = store.entries();
+  ASSERT_EQ(store.size(kRow), ref.size());
+  ASSERT_EQ(store.usedBytes(kRow), ref.usedBytes());
+  const auto entries = store.entries(kRow);
   const auto refEntries = ref.entriesByItem();
   ASSERT_EQ(entries.size(), refEntries.size());
   for (std::size_t i = 0; i < entries.size(); ++i)
-    expectSameEntry(*entries[i], refEntries[i]);
+    expectSameEntry(entries[i], refEntries[i]);
 }
 
 /// Drive both stores through the same randomized op stream and compare
 /// after every operation. Small capacity and item universe force constant
-/// collisions, upgrades, evictions and slot reuse.
+/// upgrades, evictions and re-inserts of evicted items.
 void runEquivalence(std::uint64_t seed, std::size_t ops) {
   constexpr std::size_t kCapacity = 1200;
   constexpr std::uint64_t kItems = 16;
-  CacheStore store(kCapacity);
+  CacheStore store(1, kItems, kCapacity);
   ReferenceStore ref(kCapacity);
   std::mt19937_64 rng(seed);
   sim::SimTime now = 0.0;
@@ -158,7 +156,7 @@ void runEquivalence(std::uint64_t seed, std::size_t ops) {
         // Occasionally oversized to exercise rejection.
         const auto size = static_cast<std::uint32_t>(
             rng() % 100 == 0 ? kCapacity + 1 : 50 + rng() % 350);
-        const InsertResult got = store.insert(item, version, size, now);
+        const InsertResult got = store.insert(kRow, item, version, size, now);
         const InsertResult want = ref.insert(item, version, size, now);
         ASSERT_EQ(got.kind, want.kind);
         ASSERT_EQ(got.previousVersion, want.previousVersion);
@@ -168,19 +166,19 @@ void runEquivalence(std::uint64_t seed, std::size_t ops) {
         break;
       }
       case 4: case 5: case 6: {  // find
-        const CacheEntry* got = store.find(item);
+        const auto got = store.find(kRow, item);
         const CacheEntry* want = ref.find(item);
-        ASSERT_EQ(got == nullptr, want == nullptr);
-        if (got != nullptr) expectSameEntry(*got, *want);
+        ASSERT_EQ(got.has_value(), want != nullptr);
+        if (got) expectSameEntry(*got, *want);
         break;
       }
       case 7: case 8: {  // recordAccess
-        store.recordAccess(item, now);
-        ref.recordAccess(item, now);
+        store.recordAccess(kRow, item);
+        ref.recordAccess(item);
         break;
       }
       case 9: {  // remove
-        const auto got = store.remove(item);
+        const auto got = store.remove(kRow, item);
         const auto want = ref.remove(item);
         ASSERT_EQ(got.has_value(), want.has_value());
         if (got.has_value()) expectSameEntry(*got, *want);
@@ -196,16 +194,16 @@ TEST(CacheStoreEquivalence, RandomizedOpsSeed2) { runEquivalence(2, 4000); }
 TEST(CacheStoreEquivalence, RandomizedOpsSeed3) { runEquivalence(3, 4000); }
 
 TEST(CacheStoreEquivalence, TinyCapacityChurn) {
-  // Capacity of ~2 entries: every insert evicts; free-list recycling and
-  // head/tail maintenance run continuously.
-  CacheStore store(300);
+  // Capacity of ~2 entries: every insert evicts; re-inserts and head/tail
+  // maintenance run continuously.
+  CacheStore store(1, 8, 300);
   ReferenceStore ref(300);
   std::mt19937_64 rng(99);
   sim::SimTime now = 0.0;
   for (std::size_t op = 0; op < 2000; ++op) {
     now += 1.0;
     const auto item = static_cast<data::ItemId>(rng() % 8);
-    const auto got = store.insert(item, static_cast<data::Version>(op), 140, now);
+    const auto got = store.insert(kRow, item, static_cast<data::Version>(op), 140, now);
     const auto want = ref.insert(item, static_cast<data::Version>(op), 140, now);
     ASSERT_EQ(got.kind, want.kind);
     ASSERT_EQ(got.evicted.size(), want.evicted.size());

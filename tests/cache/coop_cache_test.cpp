@@ -112,9 +112,9 @@ TEST(CoopCache, WarmStartPopulatesCaches) {
   Rig rig({{1.0, 1.0, 0, 1}});
   baselines::NoRefreshScheme scheme;
   rig.start(scheme, 10.0);
-  EXPECT_NE(rig.coop.storeOf(1).find(0), nullptr);
-  EXPECT_NE(rig.coop.storeOf(2).find(0), nullptr);
-  EXPECT_EQ(rig.coop.storeOf(3).find(0), nullptr);
+  EXPECT_TRUE(rig.coop.store().find(1, 0).has_value());
+  EXPECT_TRUE(rig.coop.store().find(2, 0).has_value());
+  EXPECT_FALSE(rig.coop.store().find(3, 0).has_value());
   EXPECT_EQ(rig.collector.totalCopies(), 2u);
 }
 
@@ -128,7 +128,7 @@ TEST(CoopCache, HeldVersionSemantics) {
   // Member 1 still stores the warm-start version 0, but that copy expired
   // at t=200 (lifetime 2*tau): heldVersion reports only valid copies, so
   // the member can no longer serve it even though the bytes are present.
-  EXPECT_NE(rig.coop.storeOf(1).find(0), nullptr);
+  EXPECT_TRUE(rig.coop.store().find(1, 0).has_value());
   EXPECT_FALSE(rig.coop.heldVersion(1, 0, 350.0).has_value());
   // Before expiry the same copy was servable.
   EXPECT_EQ(rig.coop.heldVersion(1, 0, 150.0), data::Version{0});
@@ -141,8 +141,8 @@ TEST(CoopCache, HeldVersionExpiryBoundary) {
   baselines::NoRefreshScheme scheme;
   rig.start(scheme, 10.0);
   // Warm start installed version 0, created at t=0 with lifetime 2*tau.
-  const CacheEntry* e = rig.coop.storeOf(1).find(0);
-  ASSERT_NE(e, nullptr);
+  const auto e = rig.coop.store().find(1, 0);
+  ASSERT_TRUE(e.has_value());
   const sim::SimTime expiry = rig.catalog.clock(0).expiryTime(0);
   EXPECT_EQ(e->expiresAt, expiry);
   EXPECT_EQ(expiry, 200.0);
@@ -162,8 +162,8 @@ TEST(CoopCache, PushVersionUpgradesMemberOnContact) {
   PushAlwaysScheme scheme;
   rig.start(scheme, 200.0);
   rig.run();
-  EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 1u);
-  EXPECT_EQ(rig.coop.storeOf(2).find(0)->version, 0u);  // never met the source
+  EXPECT_EQ(rig.coop.store().find(1, 0)->version, 1u);
+  EXPECT_EQ(rig.coop.store().find(2, 0)->version, 0u);  // never met the source
   EXPECT_GT(rig.network.transfers().of(net::Traffic::kRefresh).bytes, 0u);
 }
 
@@ -172,7 +172,7 @@ TEST(CoopCache, PushToNonMemberIsRefused) {
   PushAlwaysScheme scheme;
   rig.start(scheme, 200.0);
   rig.run();
-  EXPECT_EQ(rig.coop.storeOf(3).find(0), nullptr);
+  EXPECT_FALSE(rig.coop.store().find(3, 0).has_value());
   EXPECT_EQ(rig.network.transfers().of(net::Traffic::kRefresh).bytes, 0u);
 }
 
@@ -202,7 +202,7 @@ TEST(CoopCache, TinyContactBudgetBlocksDataButNotProgress) {
   PushAlwaysScheme scheme;
   rig.start(scheme, 200.0);
   rig.run();
-  EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 0u);
+  EXPECT_EQ(rig.coop.store().find(1, 0)->version, 0u);
   EXPECT_EQ(rig.network.transfers().total().bytes, 0u);
 }
 
@@ -210,10 +210,13 @@ TEST(CoopCache, HeldTableAgreesWithStoresThroughUpgradesAndEvictions) {
   // Six nodes, five 1000-byte items and room for two copies per node:
   // random pushes of the live or the previous version force upgrades,
   // no-op pushes and LRU evictions. After every push, heldVersion and
-  // canAnswer must say what the stores say, also one ulp either side of
-  // every copy's expiry.
+  // canAnswer must say what an independent model of the caches says, also
+  // one ulp either side of every copy's expiry. The model is a per-node
+  // list of (item, version) in recency order, fed only with the pushes the
+  // protocol must accept.
   constexpr std::size_t kNodes = 6;
   constexpr std::size_t kItems = 5;
+  constexpr std::size_t kCopiesPerNode = 2;  // 2500-byte cache, 1000-byte items
   std::vector<data::ItemSpec> specs;
   for (data::ItemId i = 0; i < kItems; ++i) {
     data::ItemSpec s;
@@ -241,23 +244,35 @@ TEST(CoopCache, HeldTableAgreesWithStoresThroughUpgradesAndEvictions) {
   obs::Registry registry;
   coop.setObservability(nullptr, &registry);
 
+  struct Held {
+    data::ItemId item;
+    data::Version version;
+  };
+  std::vector<std::vector<Held>> model(kNodes);  // front = least recently used
+  const auto modelFind = [&](NodeId n, data::ItemId item) -> Held* {
+    for (Held& h : model[n])
+      if (h.item == item) return &h;
+    return nullptr;
+  };
+
   const auto expectAgreement = [&](sim::SimTime now) {
     for (NodeId n = 0; n < kNodes; ++n) {
       for (data::ItemId item = 0; item < kItems; ++item) {
         const data::VersionClock& clock = catalog.clock(item);
-        const CacheEntry* e = coop.storeOf(n).find(item);
+        const Held* h = modelFind(n, item);
         std::vector<sim::SimTime> probes{now};
-        if (e != nullptr) {
-          probes.push_back(e->expiresAt);
-          probes.push_back(std::nextafter(e->expiresAt, -INFINITY));
-          probes.push_back(std::nextafter(e->expiresAt, INFINITY));
+        if (h != nullptr) {
+          const sim::SimTime expiresAt = clock.expiryTime(h->version);
+          probes.push_back(expiresAt);
+          probes.push_back(std::nextafter(expiresAt, -INFINITY));
+          probes.push_back(std::nextafter(expiresAt, INFINITY));
         }
         for (const sim::SimTime t : probes) {
           std::optional<data::Version> want;
           if (n == clock.spec().source)
             want = clock.currentVersion(t);
-          else if (e != nullptr && clock.isValid(e->version, t))
-            want = e->version;
+          else if (h != nullptr && clock.isValid(h->version, t))
+            want = h->version;
           ASSERT_EQ(coop.heldVersion(n, item, t), want) << "node " << n << " item " << item;
           ASSERT_EQ(coop.canAnswer(n, item, t), want.has_value())
               << "node " << n << " item " << item;
@@ -277,9 +292,24 @@ TEST(CoopCache, HeldTableAgreesWithStoresThroughUpgradesAndEvictions) {
     const NodeId to = members[rng() % members.size()];
     const data::Version live = catalog.clock(item).currentVersion(t);
     const data::Version v = live > 0 && rng() % 3 == 0 ? live - 1 : live;
+    // The push lands iff v is still valid and the receiver holds no valid
+    // copy at least as new: an upgrade keeps its recency, an insert becomes
+    // most recent and first evicts the least recent copy when full.
+    Held* held = modelFind(to, item);
+    const bool lands = catalog.clock(item).isValid(v, t) &&
+                       (held == nullptr || !catalog.clock(item).isValid(held->version, t) ||
+                        held->version < v);
+    if (lands && held != nullptr) {
+      held->version = v;
+    } else if (lands) {
+      if (model[to].size() == kCopiesPerNode) model[to].erase(model[to].begin());
+      model[to].push_back({item, v});
+    }
     net::ContactChannel channel(1u << 30, log);
-    coop.pushSpecificVersion(catalog.spec(item).source, to, item, v, t, channel,
-                             net::Traffic::kRefresh);
+    ASSERT_EQ(coop.pushSpecificVersion(catalog.spec(item).source, to, item, v, t, channel,
+                                       net::Traffic::kRefresh),
+              lands)
+        << "step " << step;
     expectAgreement(t);
   }
   EXPECT_GT(registry.counter("cache.install.inserted").value(), 100u);
@@ -416,8 +446,8 @@ TEST(CoopCache, ColdStartPlacementDeliversCopies) {
   baselines::NoRefreshScheme scheme;
   rig.start(scheme, 99.0);
   rig.run();
-  EXPECT_NE(rig.coop.storeOf(1).find(0), nullptr);
-  EXPECT_NE(rig.coop.storeOf(2).find(0), nullptr);
+  EXPECT_TRUE(rig.coop.store().find(1, 0).has_value());
+  EXPECT_TRUE(rig.coop.store().find(2, 0).has_value());
   EXPECT_GT(rig.network.transfers().of(net::Traffic::kPlacement).bytes, 0u);
 }
 
@@ -443,7 +473,7 @@ TEST(CoopCache, PullMessageReachesSourceAndDataReturns) {
   EXPECT_GT(rig.network.transfers().of(net::Traffic::kPull).messages, 0u);
   // The pull response rides as a kDataCopy with refresh category.
   EXPECT_GT(rig.network.transfers().of(net::Traffic::kRefresh).bytes, 0u);
-  EXPECT_EQ(rig.coop.storeOf(1).find(0)->version, 0u);  // t=20 < first bump
+  EXPECT_EQ(rig.coop.store().find(1, 0)->version, 0u);  // t=20 < first bump
 }
 
 TEST(CoopCache, ValidFractionScansStores) {

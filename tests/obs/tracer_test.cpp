@@ -46,6 +46,15 @@ TEST(Tracer, TextValuesAreEscaped) {
   EXPECT_NE(tracer.buffer().find("\"s\": \"a\\\"b\\\\c\""), std::string::npos);
 }
 
+TEST(JsonString, EscapesQuoteBackslashNewlineAndTab) {
+  std::string out = "x=";
+  appendJsonString(out, "a\"b\\c\nd\te");
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c\\nd\\te\"");
+  std::string empty;
+  appendJsonString(empty, "");
+  EXPECT_EQ(empty, "\"\"");
+}
+
 TEST(Tracer, FilterDropsUnwantedKindsWithoutEvaluatingFields) {
   Tracer tracer("r", kindBit(EventKind::kPush));
   int evaluations = 0;

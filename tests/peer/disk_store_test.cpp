@@ -199,7 +199,7 @@ TEST(DiskStore, OpenFailsOnUnwritablePath) {
 }
 
 TEST(PeerStore, InstallFeedsBothTiersAndFetchPromotes) {
-  PeerStore store(1u << 20, {tempLog("twotier"), 1u << 20});
+  PeerStore store(/*itemCount=*/100, 1u << 20, {tempLog("twotier"), 1u << 20});
   ASSERT_TRUE(store.diskOk());
 
   EXPECT_TRUE(store.install(3, 1, bytes({1, 2}), 0.0));
@@ -213,12 +213,12 @@ TEST(PeerStore, InstallFeedsBothTiersAndFetchPromotes) {
   const DiskStore::StoredItem* fetched = store.fetch(3, 3.0);
   ASSERT_NE(fetched, nullptr);
   EXPECT_EQ(fetched->payload, bytes({3, 4}));
-  EXPECT_NE(store.memory().find(3), nullptr);
+  EXPECT_TRUE(store.memory().find(PeerStore::kRow, 3).has_value());
 }
 
 TEST(PeerStore, DiskTierServesWhatMemoryEvicted) {
   // Memory budget fits one 64-byte entry; the disk tier keeps both.
-  PeerStore store(80, {tempLog("evict"), 1u << 20});
+  PeerStore store(/*itemCount=*/2, 80, {tempLog("evict"), 1u << 20});
   ASSERT_TRUE(store.diskOk());
   const std::vector<std::uint8_t> payload(64, 0x11);
   EXPECT_TRUE(store.install(0, 5, payload, 0.0));

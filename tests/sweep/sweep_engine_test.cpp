@@ -95,6 +95,25 @@ TEST(JsonScalarTest, NumbersAndBooleansPassThroughStringsQuoted) {
   EXPECT_EQ(jsonScalar("we\"ird"), "\"we\\\"ird\"");
 }
 
+TEST(RecordFields, TextValuesAreJsonEscaped) {
+  JobResult result;
+  result.job.config = tinyConfig();
+  result.job.overrides = {{"label", "a\"b\\c\nd"}};
+  result.output.scheme = "We\"ird";
+  int seen = 0;
+  for (const RecordField& f : recordFields(result, false)) {
+    if (f.key == "label") {
+      EXPECT_EQ(f.json, "\"a\\\"b\\\\c\\nd\"");
+      EXPECT_EQ(f.csv, "a\"b\\c\nd");
+      ++seen;
+    } else if (f.key == "scheme") {
+      EXPECT_EQ(f.json, "\"We\\\"ird\"");
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, 2);
+}
+
 TEST(Fingerprint, IdentifiesConfigsNotRuns) {
   auto a = tinyConfig();
   auto b = tinyConfig();

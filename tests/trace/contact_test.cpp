@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/assert.hpp"
 
@@ -25,6 +26,19 @@ TEST(ContactTrace, NormalizesAndSorts) {
   EXPECT_DOUBLE_EQ(t.contacts().front().start, 0.0);
   EXPECT_DOUBLE_EQ(t.contacts().back().start, 25.0);
   for (const auto& c : t.contacts()) EXPECT_LT(c.a, c.b);
+}
+
+TEST(ContactTrace, UnopenableCsvFileThrowsRuntimeError) {
+  // Outside input, not a broken invariant: a plain runtime_error.
+  try {
+    ContactTrace::loadCsv("/nonexistent/trace.csv");
+    FAIL() << "loadCsv did not throw";
+  } catch (const InvariantViolation&) {
+    FAIL() << "loadCsv reported a missing file as an invariant violation";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cannot open trace file /nonexistent/trace.csv");
+  }
+  EXPECT_THROW(ContactTrace(2, {}).saveCsv("/nonexistent/dir/trace.csv"), std::runtime_error);
 }
 
 TEST(ContactTrace, DurationIsLastContactEnd) {
