@@ -1,6 +1,8 @@
 #include "cache/coop_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "cache/centrality.hpp"
 #include "cache/contact_protocol.hpp"
@@ -46,8 +48,12 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
   for (data::ItemId item = 0; item < catalog_.size(); ++item)
     maxSetSize = std::max(maxSetSize, itemSetSize(item));
   DTNCACHE_CHECK(maxSetSize >= 1);
-  DTNCACHE_CHECK_MSG(maxSetSize < nodeCount_,
-                     "need at least one non-caching node as the source");
+  // The node count comes from the trace, which may be outside input.
+  if (maxSetSize >= nodeCount_)
+    throw std::invalid_argument("need at least one non-caching node as the source (" +
+                                std::to_string(maxSetSize) + " caching nodes per item, " +
+                                std::to_string(nodeCount_) + " nodes)");
+  answerSlots_ = maxSetSize + 1;
 
   buffers_.reserve(nodeCount_);
   for (std::size_t i = 0; i < nodeCount_; ++i) buffers_.emplace_back(config_.bufferCapacityBytes);
@@ -355,6 +361,19 @@ bool CooperativeCache::canAnswer(NodeId node, data::ItemId item, sim::SimTime t)
   return node == sourceOf(item) || t < store_.held(node, item).expiresAt;
 }
 
+std::uint64_t CooperativeCache::answeredKey(data::QueryId q, NodeId answerer,
+                                            data::ItemId item) const {
+  std::uint64_t slot = 0;
+  if (answerer != sourceOf(item)) {
+    const std::vector<NodeId>& set = cachingNodes_[item];
+    slot = static_cast<std::uint64_t>(std::find(set.begin(), set.end(), answerer) - set.begin());
+    DTNCACHE_CHECK_MSG(slot < set.size(), "answerer " << answerer << " of item " << item
+                                                      << " is neither source nor caching node");
+    ++slot;
+  }
+  return q * static_cast<std::uint64_t>(answerSlots_) + slot;
+}
+
 void CooperativeCache::makeReply(NodeId answerer, const net::Message& query, sim::SimTime t) {
   const auto held = heldVersion(answerer, query.item, t);
   DTNCACHE_CHECK(held.has_value());
@@ -423,13 +442,15 @@ bool CooperativeCache::forwardBuffered(NodeId from, NodeId to, sim::SimTime t,
         // Note: even when the requester has already been answered, in-flight
         // query copies keep propagating — the carriers cannot know — and
         // purge at the deadline. The collector ignores duplicate answers.
-        const bool answeredHere = answeredAt_.test(answeredKey(m.queryId, to));
-        if (!answeredHere && canAnswer(to, m.item, t) && to != m.requester) {
-          if (!channel.transfer(net::Traffic::kQuery, m.wireBytes(), from)) break;
-          answeredAt_.set(answeredKey(m.queryId, to));
-          makeReply(to, m, t);
-          toRemove.push_back(m.id);  // this copy's job is done
-          continue;
+        if (to != m.requester && canAnswer(to, m.item, t)) {
+          const std::uint64_t key = answeredKey(m.queryId, to, m.item);
+          if (!answeredAt_.test(key)) {
+            if (!channel.transfer(net::Traffic::kQuery, m.wireBytes(), from)) break;
+            answeredAt_.set(key);
+            makeReply(to, m, t);
+            toRemove.push_back(m.id);  // this copy's job is done
+            continue;
+          }
         }
         // Spray toward the item's caching set.
         const auto toCachingSet = [&](NodeId n) { return utilityToCachingSet(n, m.item, t); };

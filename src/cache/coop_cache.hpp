@@ -200,6 +200,11 @@ class CooperativeCache {
   /// fence contacts, never on the sharded kernel's worker threads.
   std::uint64_t forwardPasses() const { return forwardPasses_; }
 
+  /// Bits the reply-dedup set spans: at most (largest query id + 1) ×
+  /// (largest caching set + 1); its words take at most twice that. A size
+  /// check for tests; it reaches no result sink.
+  std::uint64_t answeredBits() const { return answeredAt_.span(); }
+
  private:
   void handleContact(NodeId a, NodeId b, sim::SimTime t, sim::SimTime duration,
                      net::ContactChannel& channel);
@@ -221,11 +226,13 @@ class CooperativeCache {
   void scheduleSampling(sim::SimTime horizon);
   void emitPlacement(sim::SimTime t);
   net::MessageId nextMessageId() { return nextMessageId_++; }
-  /// Dense bit number for the (query, node) reply-dedup set: query ids are
-  /// assigned sequentially from 1, so this packs without gaps.
-  std::uint64_t answeredKey(data::QueryId q, NodeId n) const {
-    return q * static_cast<std::uint64_t>(nodeCount_) + n;
-  }
+  /// Dense bit number for the reply-dedup set, keyed by (query, answer
+  /// slot): only the item's source (slot 0) and its caching nodes (slot
+  /// 1 + index in cachingNodesOf) can answer, since copies are installed at
+  /// caching nodes only. Query ids are assigned sequentially from 1, so the
+  /// set spans queries × answerSlots_ bits, whatever the node count.
+  /// `answerer` must be able to answer `item` (checked).
+  std::uint64_t answeredKey(data::QueryId q, NodeId answerer, data::ItemId item) const;
 
   sim::Simulator& simulator_;
   net::Network& network_;
@@ -242,7 +249,9 @@ class CooperativeCache {
   core::DenseBitset cachingBits_;  ///< (item, node) membership, bit item·N + node
 
   core::DenseBitset sourceNode_;  ///< nodes that are the source of some item
-  core::DenseBitset answeredAt_;  ///< (query, node) reply-dedup, answeredKey bits
+  core::DenseBitset answeredAt_;  ///< (query, answer slot) reply-dedup, answeredKey bits
+  /// Answer slots per query: the source plus the largest caching set.
+  std::size_t answerSlots_ = 0;
   /// Deferred-removal scratch for forwardBuffered: reused across contacts so
   /// the steady-state contact path does not allocate.
   std::vector<net::MessageId> toRemoveScratch_;

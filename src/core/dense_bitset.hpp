@@ -4,10 +4,11 @@
 /// Growable word-packed bitset for dense ids.
 ///
 /// The hot-path replacement for `unordered_set<uint64_t>` membership when
-/// keys are dense (packed (query, node) ids, query ids): test and set are
+/// keys are dense (packed (query, answer slot) ids): test and set are
 /// one shift-and-mask against a flat word array, and growth is geometric so
 /// a warmed set never allocates again in steady state.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,6 +48,13 @@ class DenseBitset {
   }
 
   void clear() { words_.assign(words_.size(), 0); }
+
+  /// One past the highest set bit (0 when none is set). A linear scan.
+  std::uint64_t span() const {
+    for (std::size_t w = words_.size(); w-- > 0;)
+      if (words_[w] != 0) return w * 64 + std::bit_width(words_[w]);
+    return 0;
+  }
 
  private:
   std::vector<std::uint64_t> words_;

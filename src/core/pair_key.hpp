@@ -4,10 +4,10 @@
 /// Packed 64-bit pair keys: the one-word encoding of an (a, b) id pair that
 /// hashes in a single op and sorts exactly like the tuple (a, b).
 ///
-/// Three layers key sparse per-pair state this way — trace analysis drains
-/// per-pair statistics in sorted-key order (deterministic FP accumulation),
-/// the contact-rate estimator indexes its pair table, and the cooperative
-/// cache dedups (query, node) reply pairs — so the helper lives here, at
+/// Several modules key sparse per-pair state this way — trace analysis
+/// drains per-pair statistics in sorted-key order (deterministic FP
+/// accumulation), and the pair index behind the rate matrix and the
+/// contact-rate estimator finds its slots by it — so the helper lives here, at
 /// the bottom of the include graph (header-only, no dependencies), instead
 /// of being re-derived at each site.
 

@@ -23,6 +23,9 @@ ContactTrace::ContactTrace(std::size_t nodeCount, std::vector<Contact> contacts)
     DTNCACHE_CHECK(c.start >= 0.0 && c.duration >= 0.0);
     if (c.a > c.b) std::swap(c.a, c.b);
   }
+  // Traces are kept whole for a run (and memoized across runs), so they
+  // hold no growth slack.
+  contacts_.shrink_to_fit();
   std::stable_sort(contacts_.begin(), contacts_.end(),
                    [](const Contact& x, const Contact& y) { return x.start < y.start; });
 }
@@ -115,7 +118,9 @@ ContactTrace ContactTrace::readCsv(std::istream& in) {
     Contact c;
     char comma = 0;
     ls >> c.start >> comma >> c.duration >> comma >> c.a >> comma >> c.b;
-    DTNCACHE_CHECK_MSG(!ls.fail(), "malformed trace line: " << line);
+    // Outside input: a plain error, not an invariant violation.
+    if (ls.fail() || c.a == c.b || !(c.start >= 0.0 && c.duration >= 0.0))
+      throw std::runtime_error("malformed trace line: " + line);
     contacts.push_back(c);
     maxNode = std::max<std::size_t>(maxNode, std::max(c.a, c.b));
   }

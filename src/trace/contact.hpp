@@ -34,8 +34,7 @@ namespace dtncache::trace {
 /// and sorts exactly like the (min, max) tuple, so open-addressed maps
 /// keyed by it can be drained in deterministic pair order by sorting the
 /// keys. The packing itself lives in core/pair_key.hpp, shared with every
-/// other layer that flat-keys id pairs (estimator pair table, cooperative
-/// cache reply dedup).
+/// other layer that flat-keys id pairs.
 inline std::uint64_t pairKey(NodeId a, NodeId b) { return core::packSymmetricPair(a, b); }
 
 /// One pairwise encounter. `a < b` is normalized on insertion.
@@ -66,8 +65,9 @@ class ContactTrace {
  public:
   ContactTrace() = default;
 
-  /// Build from an arbitrary-order contact list; normalizes endpoints and
-  /// sorts by start time. `nodeCount` must exceed every endpoint id.
+  /// Build from an arbitrary-order contact list; normalizes endpoints,
+  /// sorts by start time and trims the vector to its size. `nodeCount` must
+  /// exceed every endpoint id.
   ContactTrace(std::size_t nodeCount, std::vector<Contact> contacts);
 
   std::size_t nodeCount() const { return nodeCount_; }
@@ -89,7 +89,8 @@ class ContactTrace {
   ContactTrace truncated(sim::SimTime cutoff) const;
 
   /// CSV round-trip. Format: header line then `start,duration,a,b` rows.
-  /// A file that cannot be opened throws std::runtime_error.
+  /// A file that cannot be opened, or a line that is not two non-negative
+  /// times and two distinct node ids, throws std::runtime_error.
   static ContactTrace loadCsv(const std::string& path);
   void saveCsv(const std::string& path) const;
   static ContactTrace readCsv(std::istream& in);

@@ -13,7 +13,8 @@
 /// and community vectors a fresh generate() would produce.
 ///
 /// The cache is a small LRU keyed by the full config (every field, not just
-/// the seed) and is safe to call from concurrent sweep workers.
+/// the seed) and is safe to call from concurrent sweep workers. Its traces
+/// hold exact-size contact vectors (ContactTrace trims on construction).
 
 #include <cstddef>
 #include <memory>
@@ -27,15 +28,16 @@ namespace dtncache::trace {
 /// a previous generation when one with an identical config is still cached.
 std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig& config);
 
-/// Drop all cached traces, with the estimators warmed over them.
+/// Drop all cached traces and warmed estimators.
 void clearTraceCache();
 
 /// An `nodeCount`-node estimator started at -`warmup` and fed every contact
-/// of the trace generateShared(`warmConfig`) makes, each shifted by
-/// -`warmup`: the estimator warm-up of runExperiment. The result depends
-/// only on the trace, the node count, the estimator config, the warm-up
-/// length and the pair layout those resolve to, so it is memoized inside
-/// the trace's cache entry under that key and dropped with the entry.
+/// of the trace generate(`warmConfig`) makes, each shifted by -`warmup`: the
+/// estimator warm-up of runExperiment. The result depends only on the
+/// warm-up config, the node count, the estimator config, the warm-up length
+/// and the pair layout those resolve to, so it is memoized under that key in
+/// a table of its own, LRU-bounded like the trace memo. The warm-up trace is
+/// generated unshared and dropped after the replay: nothing else reads it.
 /// Every scheme arm of a sweep cell replays the same warm-up; callers copy
 /// the shared estimator instead. Thread-safe.
 std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(

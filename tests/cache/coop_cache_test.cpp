@@ -5,6 +5,7 @@
 #include <cmath>
 #include <optional>
 #include <random>
+#include <stdexcept>
 
 #include "baselines/baselines.hpp"
 #include "data/source.hpp"
@@ -502,7 +503,7 @@ TEST(CoopCache, CachingSetSizeMustLeaveRoomForSource) {
   cfg.cachingNodesPerItem = 4;  // == node count: impossible
   EXPECT_THROW(CooperativeCache(simulator, network, catalog, estimator, collector,
                                 Rig::planningRates(), cfg),
-               InvariantViolation);
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -10,21 +10,26 @@
 #include "cache/coop_cache.hpp"
 #include "data/source.hpp"
 #include "net/network.hpp"
+#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace dtncache::cache {
 namespace {
 
-/// 5-node rig with a configurable contact schedule. Node 0 is the source
-/// of one item; nodes 1 and 2 cache it (their planning rates dominate).
+/// Rig with a configurable contact schedule, 5 nodes unless told otherwise.
+/// Node 0 is the source of one item; nodes 1 and 2 cache it (their
+/// planning rates dominate).
 struct Rig {
-  explicit Rig(std::vector<trace::Contact> contacts, CoopCacheConfig cacheCfg = makeCache())
-      : trace(5, std::move(contacts)),
+  explicit Rig(std::vector<trace::Contact> contacts, CoopCacheConfig cacheCfg = makeCache(),
+               std::size_t nodes = 5)
+      : trace(nodes, std::move(contacts)),
         catalog(makeCatalog()),
-        estimator(5, makeEstimator(), 0.0),
+        estimator(nodes, makeEstimator(), 0.0),
         network(simulator, trace, makeNetwork()),
         collector(catalog, 0.0),
-        coop(simulator, network, catalog, estimator, collector, planningRates(), cacheCfg) {
+        coop(simulator, network, catalog, estimator, collector, planningRates(nodes),
+             cacheCfg) {
+    coop.setObservability(nullptr, &registry);
     sources = std::make_unique<data::SourceProcess>(simulator, catalog, 1e6);
     coop.setScheme(&scheme);
     coop.start(*sources, nullptr, 1e6);
@@ -54,8 +59,8 @@ struct Rig {
     c.cachingNodesPerItem = 2;
     return c;
   }
-  static trace::RateMatrix planningRates() {
-    trace::RateMatrix m(5);
+  static trace::RateMatrix planningRates(std::size_t nodes) {
+    trace::RateMatrix m(nodes);
     m.setRate(1, 0, 0.10);
     m.setRate(1, 2, 0.10);
     m.setRate(2, 3, 0.05);
@@ -69,6 +74,7 @@ struct Rig {
   net::Network network;
   metrics::MetricsCollector collector;
   CooperativeCache coop;
+  obs::Registry registry;
   baselines::NoRefreshScheme scheme;
   std::unique_ptr<data::SourceProcess> sources;
 };
@@ -183,6 +189,76 @@ TEST(ForwardingEdge, DuplicateCopyNotReacquired) {
       if (m.id == 777) ++copies;
     });
   EXPECT_LE(copies, 2u);  // carrier + the single relay, never re-handed
+}
+
+/// Register query `id` from `requester` at t = 1 (its first copy waits in
+/// the requester's buffer) and give each node of `carriers` one more copy.
+void issueQueryWithCopiesAt(Rig& rig, data::QueryId id, NodeId requester,
+                            const std::vector<NodeId>& carriers) {
+  rig.simulator.scheduleAt(1.0, [&rig, id, requester, carriers](sim::SimTime t) {
+    data::Query q;
+    q.id = id;
+    q.requester = requester;
+    q.item = 0;
+    q.issueTime = t;
+    q.deadline = 1e5;
+    rig.coop.issueQuery(q);
+    for (const NodeId carrier : carriers) {
+      net::Message m;
+      m.kind = net::MessageKind::kQuery;
+      m.item = 0;
+      m.origin = requester;
+      m.requester = requester;
+      m.queryId = id;
+      m.createdAt = t;
+      m.deadline = q.deadline;
+      m.copiesLeft = 1;
+      rig.coop.injectMessage(carrier, m, t);
+    }
+  });
+}
+
+std::uint64_t repliesDelivered(Rig& rig) {
+  return rig.registry.counter("cache.reply.delivered").value();
+}
+
+TEST(ReplyDedup, OneAnswererMetTwiceRepliesOnce) {
+  // Requester 4 and carrier 3 each hold a copy of query 7; both meet
+  // caching node 1. The answerer's later contact with 4 would deliver a
+  // second reply, had one been made.
+  Rig rig({{10.0, 5.0, 1, 4}, {20.0, 5.0, 1, 3}, {30.0, 5.0, 1, 4}, {40.0, 5.0, 3, 4}});
+  issueQueryWithCopiesAt(rig, 7, 4, {3});
+  rig.simulator.runUntil(50.0);
+  EXPECT_EQ(repliesDelivered(rig), 1u);
+}
+
+TEST(ReplyDedup, TwoAnswerersReplyOnceEach) {
+  // The same two copies, but the carrier meets the other caching node.
+  Rig rig({{10.0, 5.0, 1, 4}, {20.0, 5.0, 2, 3}, {30.0, 5.0, 2, 4}, {40.0, 5.0, 3, 4}});
+  issueQueryWithCopiesAt(rig, 7, 4, {3});
+  rig.simulator.runUntil(50.0);
+  EXPECT_EQ(repliesDelivered(rig), 2u);
+}
+
+TEST(ReplyDedup, SetSpansAnswerSlotsNotNodes) {
+  // 2,000 nodes, caching set {1, 2}: query q's requester 100 + q meets one
+  // of the two caching nodes and is answered there. The set is keyed by
+  // (query, slot in {source} ∪ caching set), so it spans at most
+  // (largest query id + 1) × (R + 1) bits, however many nodes there are.
+  constexpr std::size_t kNodes = 2000;
+  constexpr data::QueryId kQueries = 40;
+  std::vector<trace::Contact> contacts;
+  for (data::QueryId q = 1; q <= kQueries; ++q)
+    contacts.push_back({10.0 + static_cast<double>(q), 0.5, static_cast<NodeId>(1 + q % 2),
+                        static_cast<NodeId>(100 + q)});
+  Rig rig(std::move(contacts), Rig::makeCache(), kNodes);
+  ASSERT_EQ(rig.coop.cachingNodesOf(0), (std::vector<NodeId>{1, 2}));
+  for (data::QueryId q = 1; q <= kQueries; ++q)
+    issueQueryWithCopiesAt(rig, q, static_cast<NodeId>(100 + q), {});
+  rig.simulator.runUntil(100.0);
+  EXPECT_EQ(repliesDelivered(rig), kQueries);
+  EXPECT_GT(rig.coop.answeredBits(), 0u);
+  EXPECT_LE(rig.coop.answeredBits(), (kQueries + 1) * (2 + 1));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 # `error:` line naming it and exits with status 2, as for any other bad
 # flag value. `--trace-file` and `--trace-one` together are refused too:
 # only one trace can drive the run. Each pattern must match the whole
-# `error:` line after its prefix, so a file that cannot be opened has to be
-# reported plainly, not as an internal check.
+# `error:` line after its prefix, so bad input has to be reported plainly,
+# not as an internal check with its source location.
 #
 # usage: trace_file_errors.sh <dtncache>
 set -u
@@ -27,10 +27,10 @@ printf 'start,duration,a,b\n0,60,0,1\n100,60,1,2\n' > trace_file_errors.csv
 printf 'start,duration,a,b\n0,sixty,0,1\n' > trace_file_errors_bad.csv
 check 'cannot open trace file no_such_trace.csv' "$1" --trace-file=no_such_trace.csv --csv
 check 'cannot open ONE trace file no_such_trace.one' "$1" --trace-one=no_such_trace.one --csv
-check '.*malformed trace line.*' "$1" --trace-file=trace_file_errors_bad.csv --csv
+check 'malformed trace line: 0,sixty,0,1' "$1" --trace-file=trace_file_errors_bad.csv --csv
 check '.*--trace-file and --trace-one.*' \
   "$1" --trace-file=trace_file_errors.csv --trace-one=trace_file_errors.csv --csv
 # 3 nodes cannot host the default preset's 8 caching nodes per item.
-check '.*need at least one non-caching node as the source.*' \
+check 'need at least one non-caching node as the source (8 caching nodes per item, 3 nodes)' \
   "$1" --trace-file=trace_file_errors.csv --csv
 exit $status

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/assert.hpp"
 
@@ -105,7 +106,20 @@ TEST(ContactTrace, CsvRoundTrip) {
 
 TEST(ContactTrace, CsvMalformedLineThrows) {
   std::stringstream ss("start,duration,a,b\nnot,a,number,row\n");
-  EXPECT_THROW(ContactTrace::readCsv(ss), InvariantViolation);
+  EXPECT_THROW(ContactTrace::readCsv(ss), std::runtime_error);
+}
+
+TEST(ContactTrace, CsvSelfContactOrNegativeTimeIsMalformed) {
+  for (const char* row : {"5,60,2,2", "-1,60,0,1", "5,-60,0,1"}) {
+    SCOPED_TRACE(row);
+    std::stringstream ss(std::string("start,duration,a,b\n") + row + "\n");
+    try {
+      ContactTrace::readCsv(ss);
+      FAIL() << "readCsv accepted the row";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("malformed trace line: ") + row);
+    }
+  }
 }
 
 TEST(Contact, PeerOfAndInvolves) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <thread>
+#include <vector>
 
 #include "trace/estimator.hpp"
 #include "trace/generators.hpp"
@@ -66,15 +70,78 @@ TEST(WarmedEstimatorCache, KeyedByEveryInputAndDroppedWithTheTrace) {
   EXPECT_NE(warmedEstimatorShared(warm, 13, config, warm.duration).get(), base.get());
   EXPECT_EQ(warmedEstimatorShared(warm, 12, config, warm.duration).get(), base.get());
 
-  // Evicting the trace (16 newer entries) drops its estimators too.
+  // 16 newer warm-up requests evict it; newer world traces do not.
   for (std::uint64_t seed = 100; seed < 116; ++seed)
     generateShared(homogeneousConfig(4, 1.0, sim::hours(1), seed));
+  EXPECT_EQ(warmedEstimatorShared(warm, 12, config, warm.duration).get(), base.get());
+  for (std::uint64_t seed = 100; seed < 116; ++seed) {
+    const SyntheticTraceConfig other = homogeneousConfig(4, 1.0, sim::hours(1), seed);
+    warmedEstimatorShared(other, 4, config, other.duration);
+  }
   EXPECT_NE(warmedEstimatorShared(warm, 12, config, warm.duration).get(), base.get());
 
   // So does clearing the cache.
   const auto again = warmedEstimatorShared(warm, 12, config, warm.duration);
   clearTraceCache();
   EXPECT_NE(warmedEstimatorShared(warm, 12, config, warm.duration).get(), again.get());
+}
+
+TEST(WarmedEstimatorCache, KeyedByTheWarmupTraceConfig) {
+  clearTraceCache();
+  const SyntheticTraceConfig warm = homogeneousConfig(12, 4.0, sim::days(1), 3);
+  const EstimatorConfig config;
+  const auto base = warmedEstimatorShared(warm, 12, config, warm.duration);
+  SyntheticTraceConfig reseeded = warm;
+  reseeded.seed += 1;
+  EXPECT_NE(warmedEstimatorShared(reseeded, 12, config, warm.duration).get(), base.get());
+  SyntheticTraceConfig denser = warm;
+  denser.meanContactsPerPairPerDay *= 2.0;
+  EXPECT_NE(warmedEstimatorShared(denser, 12, config, warm.duration).get(), base.get());
+  EXPECT_EQ(warmedEstimatorShared(warm, 12, config, warm.duration).get(), base.get());
+}
+
+TEST(WarmedEstimatorCache, ConcurrentRequestsEachEqualAFreshReplay) {
+  clearTraceCache();
+  const SyntheticTraceConfig warm = homogeneousConfig(30, 3.0, sim::days(2), 21);
+  EstimatorConfig config;
+  config.mode = EstimatorMode::kEwma;
+  std::vector<std::shared_ptr<const ContactRateEstimator>> results(4);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < results.size(); ++i)
+      threads.emplace_back(
+          [&, i] { results[i] = warmedEstimatorShared(warm, 30, config, warm.duration); });
+    for (std::thread& t : threads) t.join();
+  }
+  const ContactRateEstimator fresh = replayWarmup(warm, 30, config, warm.duration);
+  for (const auto& result : results) {
+    ASSERT_NE(result, nullptr);
+    for (const sim::SimTime t : {0.0, sim::days(1)})
+      expectSameRates(result->snapshot(t), fresh.snapshot(t));
+    EXPECT_EQ(result->observedPairCount(), fresh.observedPairCount());
+  }
+  // Racing misses may each replay, but later requests all hit one entry.
+  const auto hit = warmedEstimatorShared(warm, 30, config, warm.duration);
+  EXPECT_EQ(warmedEstimatorShared(warm, 30, config, warm.duration).get(), hit.get());
+}
+
+TEST(TraceCache, GeneratedAndCsvLoadedTracesAreExactSize) {
+  clearTraceCache();
+  const auto expectExact = [](const ContactTrace& trace) {
+    ASSERT_FALSE(trace.empty());
+    EXPECT_EQ(trace.contacts().capacity(), trace.contacts().size());
+  };
+  expectExact(generateShared(homogeneousConfig(20, 5.0, sim::days(3), 4))->trace);
+  SyntheticTraceConfig mobility;
+  mobility.model = RateModel::kMobilityCommunity;
+  mobility.nodeCount = 300;
+  mobility.duration = sim::days(1);
+  mobility.seed = 8;
+  expectExact(generateShared(mobility)->trace);
+
+  std::stringstream csv;
+  generate(homogeneousConfig(10, 2.0, sim::days(2), 5)).trace.writeCsv(csv);
+  expectExact(ContactTrace::readCsv(csv));
 }
 
 }  // namespace
