@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "metrics/load.hpp"
 #include "obs/tracer.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -85,18 +86,25 @@ std::vector<RecordField> recordFields(const JobResult& result, bool wallClock) {
   f.number("valid_ratio", num(r.queries.successRatio()));
   f.number("fresh_answer_ratio", num(r.queries.freshAnswerRatio()));
   f.number("mean_delay_s", num(r.queries.delay.mean()));
+  f.number("max_delay_s", num(r.queries.delay.max()));
 
   // -- traffic, per category --------------------------------------------------
   for (std::size_t c = 0; c < static_cast<std::size_t>(net::Traffic::kCategoryCount); ++c) {
     const auto category = static_cast<net::Traffic>(c);
     f.number(std::string("bytes_") + net::trafficName(category),
              num(r.transfers.of(category).bytes));
+    f.number(std::string("messages_") + net::trafficName(category),
+             num(r.transfers.of(category).messages));
   }
   f.number("bytes_total", num(r.transfers.total().bytes));
   f.number("messages_total", num(r.transfers.total().messages));
   f.number("refresh_load_per_node",
            num(sim::ratio(static_cast<double>(r.transfers.of(net::Traffic::kRefresh).bytes),
                           static_cast<double>(out.traceStats.nodeCount))));
+  const auto load = metrics::loadStats(r.transfers.perNodeRefreshBytes());
+  f.number("refresh_load_peak_to_mean", num(load.peakToMean));
+  f.number("refresh_load_gini", num(load.gini));
+  f.number("refresh_load_top10_share", num(load.top10Share));
 
   // -- scheme internals -------------------------------------------------------
   f.number("helpers", num(out.replicationAssignments));
