@@ -15,6 +15,7 @@
 /// distance ("unknown config key 'cache.warmStarts'; did you mean
 /// 'cache.warmStart'?") instead of silently running the defaults.
 
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -64,6 +65,13 @@ struct FieldBinder {
       const double v = std::get<double>(it->second);
       if constexpr (std::is_integral_v<T>) {
         DTNCACHE_CHECK_MSG(integral(v), "key '" << key << "' must be integral");
+        // Casting a double that T cannot hold is undefined ([conv.fpint]).
+        // Both bounds are exact in double: min() is 0 or -2^k, and
+        // max() + 1 rounds to 2^k.
+        const double lo = static_cast<double>(std::numeric_limits<T>::min());
+        const double hi = static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+        DTNCACHE_CHECK_MSG(v >= lo && v < hi, "key '" << key << "' value " << v
+                                                  << " is out of range for its type");
       }
       field = static_cast<T>(v);
     }

@@ -56,6 +56,23 @@ TEST(PeerConfig, BadEnumValueRejected) {
                InvariantViolation);
 }
 
+TEST(PeerConfig, OutOfRangeIntegerRejectedWithKeyAndValue) {
+  PeerdConfig config;
+  try {
+    applyPeerConfigJson(config, "{\"peer.listenPort\": -1}");
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("key 'peer.listenPort' value -1 is out of range"),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_THROW(applyPeerConfigJson(config, "{\"peer.listenPort\": 4294967296}"),
+               InvariantViolation);
+  applyPeerConfigJson(config, "{\"peer.listenPort\": 4294967295}");
+  EXPECT_EQ(config.listenPort, 4294967295u);
+}
+
 TEST(PeerConfig, ValidateCatchesCrossFieldErrors) {
   PeerdConfig config;
   config.nodeCount = 1;  // a peer needs peers

@@ -117,6 +117,31 @@ TEST(ConfigIo, NonIntegralIntegerRejected) {
   EXPECT_THROW(loadConfig(R"({"catalog.itemCount": 4.5})"), InvariantViolation);
 }
 
+// A value the field's integer type cannot hold is rejected at load, naming
+// the key and the value, instead of wrapping around (a negative count) or
+// casting with undefined behaviour (1e30 into a size_t).
+TEST(ConfigIo, OutOfRangeIntegerRejectedWithKeyAndValue) {
+  const auto rejects = [](const std::string& json, const std::string& key,
+                          const std::string& value) {
+    try {
+      loadConfig(json);
+      ADD_FAILURE() << "expected InvariantViolation for " << json;
+    } catch (const InvariantViolation& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("key '" + key + "' value " + value + " is out of range"),
+                std::string::npos)
+          << message;
+    }
+  };
+  rejects(R"({"cache.cachingNodesPerItem": -3})", "cache.cachingNodesPerItem", "-3");
+  rejects(R"({"sim.shards": -2})", "sim.shards", "-2");
+  rejects(R"({"catalog.itemCount": 1e30})", "catalog.itemCount", "1e+30");
+  // The largest values a size_t field holds exactly still load.
+  EXPECT_EQ(loadConfig(R"({"sim.shards": 0})").shards, 0u);
+  EXPECT_EQ(loadConfig(R"({"catalog.itemCount": 4503599627370496})").catalog.itemCount,
+            4503599627370496u);
+}
+
 TEST(ConfigIo, UnknownEnumValueRejected) {
   EXPECT_THROW(loadConfig(R"({"scheme": "telepathy"})"), InvariantViolation);
 }
