@@ -78,8 +78,6 @@ class Rng {
     return xm / std::pow(1.0 - u, 1.0 / alpha);
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::uint64_t seed_;
