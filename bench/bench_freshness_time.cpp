@@ -2,11 +2,14 @@
 /// Paper analogue: the headline "freshness ratio" comparison. Expected
 /// shape: Flooding ≥ Hierarchical ≫ SourceDirect ≈ Pull ≫ NoRefresh, with
 /// Hierarchical close to the flooding ceiling at a fraction of its cost.
+///
+/// Stays C++ because freshness(t) is a series, not a record scalar; the
+/// summary table shares its runs. scripts/figures.py renders F2's 5-seed
+/// confirmation table from a dtncache_sweep grid after this binary.
 
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "runner/replicate.hpp"
 
 using namespace dtncache;
 
@@ -59,29 +62,9 @@ void runScenario(const char* name, runner::ExperimentConfig base, std::size_t jo
 
 }  // namespace
 
-void seedSweep(const char* name, const runner::ExperimentConfig& base, std::size_t seeds,
-               std::size_t jobs) {
-  std::cout << "\n--- " << name << ": headline numbers over " << seeds
-            << " seeds (mean±sd) ---\n";
-  metrics::Table table({"scheme", "mean_fresh", "valid_answers", "refresh_MB"});
-  for (const auto kind : runner::allSchemes()) {
-    auto cfg = base;
-    cfg.scheme = kind;
-    const auto agg = runner::runReplicated(cfg, seeds, jobs);
-    table.addRow({runner::schemeName(kind), runner::formatMeanSd(agg.meanFresh),
-                  runner::formatMeanSd(agg.validAnswerRatio),
-                  runner::formatMeanSd(agg.refreshMegabytes, 1)});
-  }
-  table.print(std::cout);
-}
-
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobsArg(argc, argv);
-  bench::banner("F2", "freshness ratio over time (all schemes)");
   runScenario("reality-like (tau = 2 days)", runner::presetConfig("reality"), jobs);
   runScenario("infocom-like (tau = 6 h)", runner::presetConfig("infocom"), jobs);
-  // Single-trace numbers above are points; the sweep shows they are stable
-  // across mobility realizations (every random process re-drawn per seed).
-  seedSweep("infocom-like", runner::presetConfig("infocom"), 5, jobs);
   return 0;
 }

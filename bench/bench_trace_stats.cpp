@@ -2,6 +2,7 @@
 /// Paper analogue: the "trace statistics" table every trace-driven DTN
 /// evaluation opens with (nodes, duration, contacts, pairwise density).
 /// Ours describes the synthetic stand-ins for Reality and Infocom'06.
+/// Stays C++ because it describes traces, not experiment runs.
 
 #include <iostream>
 
@@ -10,8 +11,6 @@
 
 int main() {
   using namespace dtncache;
-  bench::banner("T1", "trace characteristics");
-
   metrics::Table table({"trace", "nodes", "days", "contacts", "pairs_met",
                         "contacts_per_pair_day", "mean_contact_s"});
   for (const auto& [name, cfg] :

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file common.hpp
-/// Shared helpers for the experiment harnesses (bench_*). Each bench
-/// reproduces one table/figure of the paper (see DESIGN.md / EXPERIMENTS.md);
-/// they all start from the reality and infocom presets of
-/// runner/presets.hpp, the same scenarios the CLIs run, so results are
-/// comparable across experiments.
+/// Shared helpers for the C++ sections of the figure pipeline (bench_*).
+/// scripts/figures.py prints each figure's banner and runs these binaries
+/// at their place in its figure list (see EXPERIMENTS.md); they start from
+/// the presets of runner/presets.hpp, the same scenarios the CLIs run.
 
 #include <cstdint>
 #include <cstdlib>
@@ -31,10 +30,6 @@ inline std::size_t jobsArg(int argc, char** argv) {
 
 inline std::string mb(std::uint64_t bytes) {
   return metrics::fmt(static_cast<double>(bytes) / (1024.0 * 1024.0), 1);
-}
-
-inline void banner(const std::string& id, const std::string& title) {
-  std::cout << "\n=== " << id << ": " << title << " ===\n";
 }
 
 }  // namespace dtncache::bench

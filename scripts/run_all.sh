@@ -3,11 +3,11 @@
 #
 #   scripts/run_all.sh [--jobs N]
 #
-# --jobs (default: nproc) drives the build, ctest, and the sweep-backed
-# benches. Bench tables are deterministic at any jobs count (the sweep
+# --jobs (default: nproc) drives the build, ctest, and every figure's
+# sweeps and benches. Tables are deterministic at any jobs count (the sweep
 # engine aggregates in grid order), so bench_output.txt is comparable
-# across machines and parallelism levels. Bench stderr (progress noise)
-# stays on the console; only stdout lands in bench_output.txt.
+# across machines and parallelism levels. Stderr stays on the console;
+# only stdout lands in bench_output.txt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,41 +31,16 @@ if ! ctest --test-dir build -j "$jobs" 2>&1 | tee test_output.txt; then
   exit 1
 fi
 
-# Explicit bench order (paper table order), not glob order — a new binary
-# appearing mid-alphabet must not reshuffle bench_output.txt.
-benches=(
-  bench_trace_stats        # T1
-  bench_freshness_time     # F2
-  bench_freshness_tau      # F3
-  bench_freshness_ncl      # F4
-  bench_theta_guarantee    # F5
-  bench_overhead           # F6
-  bench_query_validity     # F7
-  bench_ablation_hierarchy # F8
-  bench_ablation_estimator # F9
-  bench_load_balance       # F10
-  bench_churn              # F11
-  bench_energy             # F12 (extension)
-  bench_allocation         # F13 (extension)
-  bench_scaling            # F14 (extension)
-)
-
-# Sweep-backed benches accept --jobs; the others ignore argv entirely.
-sweep_backed=" bench_freshness_time bench_freshness_tau bench_freshness_ncl bench_theta_guarantee bench_scaling "
-
-# Each bench failure aborts with its name and exit code — a partial
-# bench_output.txt must never pass silently as a regenerated table set.
-{
-  for b in "${benches[@]}"; do
-    if [[ "$sweep_backed" == *" $b "* ]]; then
-      "build/bench/$b" --jobs "$jobs"
-    else
-      "build/bench/$b"
-    fi || {
-      rc=$?
-      echo "error: build/bench/$b failed (exit $rc); bench_output.txt is incomplete" >&2
-      exit "$rc"
-    }
-  done
-} | tee bench_output.txt
-echo "done: test_output.txt, bench_output.txt (jobs=$jobs)"
+# Every table in paper order (T1, F2-F14): scripts/figures.py runs each
+# figure's dtncache_sweep grids and the few C++ sections under build/bench,
+# and keeps each figure's JSONL records as <id>.jsonl next to
+# bench_output.txt. A failing sweep or bench aborts it with the figure id
+# and exit code — a partial bench_output.txt must never pass silently as a
+# regenerated table set.
+python3 scripts/figures.py --build build --jobs "$jobs" | tee bench_output.txt || {
+  rc=${PIPESTATUS[0]}
+  [[ "$rc" -ne 0 ]] || rc=1  # the script succeeded, so tee failed
+  echo "error: scripts/figures.py failed (exit $rc); bench_output.txt is incomplete" >&2
+  exit "$rc"
+}
+echo "done: test_output.txt, bench_output.txt, <figure id>.jsonl (jobs=$jobs)"

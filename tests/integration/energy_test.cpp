@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "runner/experiment.hpp"
-#include "runner/replicate.hpp"
 
 namespace dtncache::runner {
 namespace {
@@ -72,24 +71,6 @@ TEST(Energy, DeterministicWithEnergyEnabled) {
   const auto b = runExperiment(energyConfig(100.0));
   EXPECT_EQ(a.depletedNodes, b.depletedNodes);
   EXPECT_DOUBLE_EQ(a.meanRemainingBattery, b.meanRemainingBattery);
-}
-
-TEST(Replicate, AggregatesAcrossSeeds) {
-  auto cfg = energyConfig(1e6);
-  const auto agg = runReplicated(cfg, 3);
-  EXPECT_EQ(agg.runs, 3u);
-  EXPECT_EQ(agg.meanFresh.count(), 3u);
-  EXPECT_GT(agg.meanFresh.mean(), 0.0);
-  EXPECT_GT(agg.meanFresh.stddev(), 0.0);  // different seeds → different traces
-  EXPECT_LT(agg.meanFresh.stddev(), 0.2);  // but the same regime
-  const std::string cell = formatMeanSd(agg.meanFresh);
-  EXPECT_NE(cell.find("±"), std::string::npos);
-}
-
-TEST(Replicate, SingleRunHasNoSd) {
-  auto cfg = energyConfig(1e6);
-  const auto agg = runReplicated(cfg, 1);
-  EXPECT_EQ(formatMeanSd(agg.meanFresh).find("±"), std::string::npos);
 }
 
 }  // namespace
