@@ -81,9 +81,9 @@ ExperimentOutput runExperiment(const ExperimentConfig& config) {
   }
   const trace::SyntheticTrace& world = *worldShared;
 
-  // Estimator, pre-fed with a warm-up trace at negative times. A generated
-  // warm-up trace is replayed once per (trace, estimator) and copied here:
-  // every scheme arm of a sweep cell warms up identically.
+  // Estimator, pre-fed with a warm-up at negative times. A generated
+  // warm-up is streamed into the estimator once per (trace, estimator) and
+  // copied here: every scheme arm of a sweep cell warms up identically.
   trace::ContactRateEstimator estimator = [&] {
     if (config.estimatorWarmup > 0.0 && config.externalTrace == nullptr) {
       trace::SyntheticTraceConfig warmCfg = traceCfg;

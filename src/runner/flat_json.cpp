@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/tracer.hpp"
 
@@ -28,7 +29,7 @@ class FlatJsonParser {
       skipWs();
       expect(':');
       skipWs();
-      out[key] = parseValue();
+      out[key] = parseValue(key);
       skipWs();
       if (peek() == ',') {
         ++pos_;
@@ -78,7 +79,7 @@ class FlatJsonParser {
     ++pos_;
     return s;
   }
-  JsonValue parseValue() {
+  JsonValue parseValue(const std::string& key) {
     const char c = peek();
     if (c == '"') return parseString();
     if (text_.compare(pos_, 4, "true") == 0) {
@@ -99,7 +100,15 @@ class FlatJsonParser {
     DTNCACHE_CHECK_MSG(end > pos_, "expected a JSON value at offset " << pos_);
     const std::string num = text_.substr(pos_, end - pos_);
     std::size_t used = 0;
-    const double v = std::stod(num, &used);
+    double v = 0.0;
+    try {
+      v = std::stod(num, &used);
+    } catch (const std::invalid_argument&) {
+      used = 0;  // no digits: reported as malformed below
+    } catch (const std::out_of_range&) {
+      throw InvariantViolation("key '" + key + "' value " + num +
+                               " is out of range for a double");
+    }
     DTNCACHE_CHECK_MSG(used == num.size(), "malformed number '" << num << "'");
     pos_ = end;
     return v;

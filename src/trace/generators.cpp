@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -23,15 +24,12 @@ double diurnalMeanActivity(double nightActivity) {
   return (16.0 + 8.0 * nightActivity) / 24.0;
 }
 
-}  // namespace
-
-SyntheticTrace generate(const SyntheticTraceConfig& config) {
-  // Sparse-graph mobility models stream from trace/mobility.hpp; the dense
-  // per-pair enumeration below would be O(N²) in both time and rate storage.
-  if (config.model == RateModel::kMobilityCommunity ||
-      config.model == RateModel::kMobilityPowerLaw)
-    return SyntheticMobility(config).materialize();
-
+/// The dense models: one Poisson process per node pair. Visits the pairs in
+/// (i, j) order and hands each pair's contacts to `emit` in increasing
+/// start. When `world` is given, it also receives the ground-truth rates and
+/// the community assignment.
+template <typename Emit>
+void generateDense(const SyntheticTraceConfig& config, SyntheticTrace* world, Emit&& emit) {
   DTNCACHE_CHECK(config.nodeCount >= 2);
   DTNCACHE_CHECK(config.duration > 0.0);
   DTNCACHE_CHECK(config.meanContactsPerPairPerDay > 0.0);
@@ -44,15 +42,13 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
 
   const std::size_t n = config.nodeCount;
 
-  SyntheticTrace out;
-  out.rates = RateMatrix(n);
-
   // Community assignment: round-robin gives equal-sized communities, which
   // keeps the preset reproducible without another random process.
+  std::vector<std::size_t> community;
   if (config.model == RateModel::kCommunity) {
     DTNCACHE_CHECK(config.communities >= 1);
-    out.community.resize(n);
-    for (std::size_t i = 0; i < n; ++i) out.community[i] = i % config.communities;
+    community.resize(n);
+    for (std::size_t i = 0; i < n; ++i) community[i] = i % config.communities;
   }
 
   // Draw unnormalized pairwise weights, then renormalize so the mean
@@ -71,11 +67,11 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
           break;
         case RateModel::kCommunity:
           w = rateRng.paretoTruncated(1.0, config.paretoShape, config.rateSpread);
-          if (out.community[i] == out.community[j]) w *= config.intraCommunityBoost;
+          if (community[i] == community[j]) w *= config.intraCommunityBoost;
           break;
         case RateModel::kMobilityCommunity:
         case RateModel::kMobilityPowerLaw:
-          // Routed to SyntheticMobility at the top of generate().
+          // Routed to SyntheticMobility before the dense generator.
           DTNCACHE_CHECK_MSG(false, "mobility models never reach the dense generator");
           break;
       }
@@ -92,12 +88,12 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
   const double targetRate = config.meanContactsPerPairPerDay / sim::days(1);
   const double peakPerWeight = targetRate / (meanWeight * activityMean);
 
-  std::vector<Contact> contacts;
+  if (world != nullptr) world->rates = RateMatrix(n);
   std::size_t w = 0;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j, ++w) {
       const double peakRate = weights[w] * peakPerWeight;
-      out.rates.setRate(i, j, peakRate * activityMean);
+      if (world != nullptr) world->rates.setRate(i, j, peakRate * activityMean);
       if (peakRate <= 0.0) continue;
       // Thinned Poisson process: generate at the peak rate, keep each
       // arrival with probability activity(t) (exact for piecewise-constant
@@ -112,15 +108,41 @@ SyntheticTrace generate(const SyntheticTraceConfig& config) {
           c.duration = durationRng.exponential(1.0 / config.meanContactDuration);
           c.a = i;
           c.b = j;
-          contacts.push_back(c);
+          emit(c);
         }
         t += arrivalRng.exponential(peakRate);
       }
     }
   }
+  if (world != nullptr) world->community = std::move(community);
+}
 
-  out.trace = ContactTrace(n, std::move(contacts));
+bool isMobility(RateModel model) {
+  return model == RateModel::kMobilityCommunity || model == RateModel::kMobilityPowerLaw;
+}
+
+}  // namespace
+
+SyntheticTrace generate(const SyntheticTraceConfig& config) {
+  // Sparse-graph mobility models stream from trace/mobility.hpp; the dense
+  // per-pair enumeration would be O(N²) in both time and rate storage.
+  if (isMobility(config.model)) return SyntheticMobility(config).materialize();
+  SyntheticTrace out;
+  std::vector<Contact> contacts;
+  generateDense(config, &out, [&](const Contact& c) { contacts.push_back(c); });
+  out.trace = ContactTrace(config.nodeCount, std::move(contacts));
   return out;
+}
+
+void forEachGeneratedContact(const SyntheticTraceConfig& config,
+                             const std::function<void(const Contact&)>& visit) {
+  if (isMobility(config.model)) {
+    SyntheticMobility stream(config);
+    Contact c;
+    while (stream.next(c)) visit(c);
+    return;
+  }
+  generateDense(config, nullptr, visit);
 }
 
 SyntheticTrace adoptTrace(ContactTrace trace) {

@@ -17,6 +17,7 @@
 /// qualitative density/duration regimes of the originals.
 
 #include <cstdint>
+#include <functional>
 
 #include "sim/rng.hpp"
 #include "trace/contact.hpp"
@@ -102,6 +103,19 @@ struct SyntheticTrace {
 
 /// Generate a trace from the config. Deterministic in config.seed.
 SyntheticTrace generate(const SyntheticTraceConfig& config);
+
+/// Visit every contact generate(`config`) would hold, without building the
+/// trace, its rate matrix or its communities. Each contact has a < b, and
+/// the draws are generate()'s, so the contacts are the same; only their
+/// order differs:
+///  - dense models (kHomogeneous, kPareto, kCommunity): pair by pair, in
+///    (a, b) order, each pair's contacts in increasing start. Contacts of
+///    different pairs are NOT in time order, so `visit` may only rely on
+///    per-pair order (as ContactRateEstimator::recordContact does);
+///  - mobility models: the SyntheticMobility::next() stream, already in
+///    nondecreasing start.
+void forEachGeneratedContact(const SyntheticTraceConfig& config,
+                             const std::function<void(const Contact&)>& visit);
 
 /// A caller-owned (imported) trace as the world of a run: the trace, its
 /// MLE-fitted rate matrix as the rates and its stats; no communities.

@@ -15,8 +15,8 @@ struct Entry {
   std::uint64_t lastUse = 0;
 };
 
-/// An estimator warmed over the trace generate(`warmConfig`) makes, with
-/// the other inputs it was warmed for. The trace itself is not kept.
+/// An estimator warmed over the contacts generate(`warmConfig`) makes, with
+/// the other inputs it was warmed for.
 struct Warmed {
   SyntheticTraceConfig warmConfig;
   std::size_t nodeCount = 0;
@@ -111,15 +111,13 @@ std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
     if (const Warmed* w = touch(c, c.warmed, matches); w != nullptr) return w->estimator;
   }
 
-  // Generate and replay outside the lock (racing duplicates are identical,
-  // as above). Nothing reads the warm-up trace again, so it is dropped
-  // here rather than memoized.
+  // Replay outside the lock (racing duplicates are identical, as above),
+  // straight from the generator; the header says why its pair-by-pair
+  // order warms the estimator exactly as the time-ordered trace would.
   auto fresh = std::make_shared<ContactRateEstimator>(nodeCount, estimator, -warmup);
-  {
-    const SyntheticTrace trace = generate(warmConfig);
-    for (const Contact& contact : trace.trace.contacts())
-      fresh->recordContact(contact.a, contact.b, contact.start - warmup);
-  }
+  forEachGeneratedContact(warmConfig, [&](const Contact& contact) {
+    fresh->recordContact(contact.a, contact.b, contact.start - warmup);
+  });
   std::shared_ptr<const ContactRateEstimator> result = std::move(fresh);
 
   std::lock_guard<std::mutex> lock(c.mu);

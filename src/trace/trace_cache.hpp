@@ -32,14 +32,18 @@ std::shared_ptr<const SyntheticTrace> generateShared(const SyntheticTraceConfig&
 void clearTraceCache();
 
 /// An `nodeCount`-node estimator started at -`warmup` and fed every contact
-/// of the trace generate(`warmConfig`) makes, each shifted by -`warmup`: the
+/// generate(`warmConfig`) would hold, each shifted by -`warmup`: the
 /// estimator warm-up of runExperiment. The result depends only on the
 /// warm-up config, the node count, the estimator config, the warm-up length
 /// and the pair layout those resolve to, so it is memoized under that key in
 /// a table of its own, LRU-bounded like the trace memo. The warm-up trace is
-/// generated unshared and dropped after the replay: nothing else reads it.
-/// Every scheme arm of a sweep cell replays the same warm-up; callers copy
-/// the shared estimator instead. Thread-safe.
+/// never built: forEachGeneratedContact streams the contacts from the
+/// generator into the estimator. That is equal to replaying the time-ordered
+/// trace because every estimator field is per pair and each pair's contacts
+/// still arrive in increasing start; only the sparse layout's slot numbers
+/// follow the generator's order, and no read path depends on them. Every
+/// scheme arm of a sweep cell needs the same warm-up; callers copy the
+/// shared estimator instead. Thread-safe.
 std::shared_ptr<const ContactRateEstimator> warmedEstimatorShared(
     const SyntheticTraceConfig& warmConfig, std::size_t nodeCount,
     const EstimatorConfig& estimator, sim::SimTime warmup);

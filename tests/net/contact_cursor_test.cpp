@@ -185,15 +185,22 @@ std::vector<std::string> timerMixRun(const trace::ContactTrace& trace, bool eage
   const sim::SimTime tie = trace.contacts()[trace.contacts().size() / 2].start;
   s.scheduleAt(tie, [&](sim::SimTime) { log.push_back("o"); });
   s.schedulePeriodic(sim::minutes(30), [&](sim::SimTime) { log.push_back("p"); });
+  // Entries are built by appending to a std::string: GCC 12's -Wrestrict
+  // misfires on `"c" + std::to_string(i)` in optimized builds.
+  const auto entry = [](char kind, std::size_t i) {
+    std::string e(1, kind);
+    e += std::to_string(i);
+    return e;
+  };
   std::size_t delivered = 0;
   auto onContact = [&](sim::SimTime) {
     const std::size_t i = delivered++;
-    log.push_back("c" + std::to_string(i));
+    log.push_back(entry('c', i));
     if (i % 7 == 0) s.scheduleAfter(0.0, [&, i](sim::SimTime) {
-      log.push_back("f" + std::to_string(i));
+      log.push_back(entry('f', i));
     });
     if (i % 11 == 0) s.scheduleAfter(45.0, [&, i](sim::SimTime) {
-      log.push_back("d" + std::to_string(i));
+      log.push_back(entry('d', i));
     });
   };
   Network net(s, trace);

@@ -142,6 +142,28 @@ TEST(ConfigIo, OutOfRangeIntegerRejectedWithKeyAndValue) {
             4503599627370496u);
 }
 
+// A literal beyond double range is rejected naming the key and the literal,
+// and a number with no digits is reported as malformed, not as a bare
+// "stod" from the standard library.
+TEST(ConfigIo, NumberBeyondDoubleRangeRejectedWithKeyAndLiteral) {
+  const auto message = [](const std::string& json) -> std::string {
+    try {
+      loadConfig(json);
+    } catch (const InvariantViolation& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "expected InvariantViolation for " << json;
+    return "";
+  };
+  for (const std::string literal : {"1e999", "-1e999"}) {
+    const std::string m = message(R"({"seed": )" + literal + "}");
+    EXPECT_NE(m.find("key 'seed' value " + literal + " is out of range"), std::string::npos)
+        << m;
+  }
+  const std::string m = message(R"({"seed": -})");
+  EXPECT_NE(m.find("malformed number '-'"), std::string::npos) << m;
+}
+
 TEST(ConfigIo, UnknownEnumValueRejected) {
   EXPECT_THROW(loadConfig(R"({"scheme": "telepathy"})"), InvariantViolation);
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace dtncache::trace {
 namespace {
@@ -131,6 +136,69 @@ TEST(Generators, ContactDurationsAverageToConfig) {
   const auto t = generate(cfg);
   EXPECT_NEAR(t.trace.stats().meanContactDuration, 240.0, 20.0);
 }
+
+/// A small config of `model` that still draws every random process it has
+/// (diurnal thinning on for the dense models).
+SyntheticTraceConfig visitorConfig(RateModel model) {
+  SyntheticTraceConfig config = infocomLikeConfig(11);
+  config.model = model;
+  config.nodeCount = 20;
+  config.duration = sim::days(2);
+  if (model == RateModel::kMobilityCommunity || model == RateModel::kMobilityPowerLaw) {
+    config.nodeCount = 200;
+    config.meanContactsPerPairPerDay = 1.0;
+  }
+  return config;
+}
+
+class GeneratedContacts : public ::testing::TestWithParam<RateModel> {};
+
+// forEachGeneratedContact visits exactly generate()'s contacts, and each
+// pair's contacts in strictly increasing start: the order a per-pair
+// consumer such as the rate estimator needs.
+TEST_P(GeneratedContacts, VisitorYieldsGeneratesContactsInPerPairOrder) {
+  const SyntheticTraceConfig config = visitorConfig(GetParam());
+  using Key = std::tuple<NodeId, NodeId, sim::SimTime, sim::SimTime>;
+  const auto key = [](const Contact& c) {
+    return Key{std::min(c.a, c.b), std::max(c.a, c.b), c.start, c.duration};
+  };
+
+  std::vector<Key> visited;
+  std::map<std::pair<NodeId, NodeId>, sim::SimTime> lastStart;
+  forEachGeneratedContact(config, [&](const Contact& c) {
+    const Key k = key(c);
+    const std::pair<NodeId, NodeId> pair{std::get<0>(k), std::get<1>(k)};
+    if (const auto it = lastStart.find(pair); it != lastStart.end()) {
+      EXPECT_GT(c.start, it->second) << "pair " << pair.first << "," << pair.second;
+    }
+    lastStart[pair] = c.start;
+    visited.push_back(k);
+  });
+
+  const SyntheticTrace trace = generate(config);
+  std::vector<Key> generated;
+  for (const Contact& c : trace.trace.contacts()) generated.push_back(key(c));
+  ASSERT_GT(generated.size(), 100u);
+  std::sort(visited.begin(), visited.end());
+  std::sort(generated.begin(), generated.end());
+  EXPECT_EQ(visited, generated);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, GeneratedContacts,
+                         ::testing::Values(RateModel::kHomogeneous, RateModel::kPareto,
+                                           RateModel::kCommunity,
+                                           RateModel::kMobilityCommunity,
+                                           RateModel::kMobilityPowerLaw),
+                         [](const ::testing::TestParamInfo<RateModel>& info) {
+                           switch (info.param) {
+                             case RateModel::kHomogeneous: return "Homogeneous";
+                             case RateModel::kPareto: return "Pareto";
+                             case RateModel::kCommunity: return "Community";
+                             case RateModel::kMobilityCommunity: return "MobilityCommunity";
+                             case RateModel::kMobilityPowerLaw: return "MobilityPowerLaw";
+                           }
+                           return "Unknown";
+                         });
 
 }  // namespace
 }  // namespace dtncache::trace

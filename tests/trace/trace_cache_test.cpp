@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -55,6 +56,56 @@ TEST(WarmedEstimatorCache, MemoHitEqualsAFreshReplayInEveryMode) {
       expectSameRates(hit->snapshot(t), fresh.snapshot(t));
     }
     EXPECT_EQ(hit->observedPairCount(), fresh.observedPairCount());
+  }
+}
+
+// The warm-up streams contacts from the generator, which visits the dense
+// models pair by pair rather than in time order. A community warm-up (where
+// that order differs from time order) and a mobility warm-up must still warm
+// the estimator exactly as a time-ordered replay of generate() does, in
+// every mode and in both pair layouts.
+TEST(WarmedEstimatorCache, StreamedWarmupEqualsATimeOrderedReplay) {
+  SyntheticTraceConfig community = infocomLikeConfig(5);
+  community.nodeCount = 24;
+  community.duration = sim::days(2);
+  SyntheticTraceConfig mobility;
+  mobility.model = RateModel::kMobilityCommunity;
+  mobility.nodeCount = 300;
+  mobility.duration = sim::days(2);
+  mobility.seed = 8;
+
+  std::vector<sim::SimTime> emitted;
+  forEachGeneratedContact(community, [&](const Contact& c) { emitted.push_back(c.start); });
+  ASSERT_FALSE(std::is_sorted(emitted.begin(), emitted.end()));
+
+  for (const SyntheticTraceConfig& warm : {community, mobility}) {
+    const std::size_t nodes = warm.nodeCount;
+    const sim::SimTime warmup = warm.duration;
+    for (const PairBackend backend : {PairBackend::kDense, PairBackend::kSparse}) {
+      for (const EstimatorMode mode :
+           {EstimatorMode::kCumulative, EstimatorMode::kSlidingWindow, EstimatorMode::kEwma}) {
+        SCOPED_TRACE(testing::Message() << "nodes " << nodes << " sparse "
+                                        << (backend == PairBackend::kSparse) << " mode "
+                                        << static_cast<int>(mode));
+        clearTraceCache();
+        EstimatorConfig config;
+        config.mode = mode;
+        config.window = sim::hours(12);
+        config.backend = backend;
+        const auto streamed = warmedEstimatorShared(warm, nodes, config, warmup);
+        const ContactRateEstimator replayed = replayWarmup(warm, nodes, config, warmup);
+        ASSERT_EQ(streamed->isSparse(), backend == PairBackend::kSparse);
+        ASSERT_GT(replayed.observedPairCount(), 0u);
+        EXPECT_EQ(streamed->observedPairCount(), replayed.observedPairCount());
+        for (const sim::SimTime t : {-sim::hours(20), 0.0, sim::hours(5), sim::days(3)}) {
+          SCOPED_TRACE(t);
+          expectSameRates(streamed->snapshot(t), replayed.snapshot(t));
+          for (NodeId i = 0; i < nodes; ++i)
+            for (NodeId j = i + 1; j < nodes; ++j)
+              ASSERT_EQ(streamed->rate(i, j, t), replayed.rate(i, j, t)) << i << "," << j;
+        }
+      }
+    }
   }
 }
 
