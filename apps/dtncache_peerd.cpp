@@ -6,11 +6,12 @@
 /// Examples:
 ///   dtncache_peerd --dump-config                   # full default config
 ///   dtncache_peerd --config=peer0.json             # run from a config file
-///   dtncache_peerd --config=peer1.json --run-seconds=20
+///   dtncache_peerd --config=peer1.json --set="peer.runSeconds=20"
 ///
 /// The config file is the same flat-JSON format as experiment configs
 /// (`peer.*` namespace; unknown keys are rejected with a nearest-key
-/// suggestion). A handful of flags override the file for scripting.
+/// suggestion). `--set="key=value;key=value"` patches any key on top of the
+/// file, checked the same way; a bad config exits with status 2.
 ///
 /// On exit the daemon writes its JSONL trace (same schema as a simulation
 /// trace — scripts/trace_summarize.py reads it unchanged) followed by one
@@ -19,12 +20,12 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "obs/registry.hpp"
 #include "obs/tracer.hpp"
 #include "peer/peerd.hpp"
 #include "runner/args.hpp"
+#include "runner/flat_json.hpp"
 #include "sim/assert.hpp"
 
 using namespace dtncache;
@@ -38,14 +39,6 @@ void handleSignal(int) {
     g_loop->stop();
     g_loop->wakeup();
   }
-}
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path);
-  DTNCACHE_CHECK_MSG(in.good(), "cannot read config file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 void writeTrace(const std::string& path, obs::Tracer& tracer,
@@ -72,39 +65,26 @@ int main(int argc, char** argv) {
       args.getString("--config", "", "flat-JSON config file (peer.* keys)");
   const bool dumpConfig =
       args.getBool("--dump-config", "print the effective config as JSON and exit");
-  const auto node = args.getInt("--node", -1, "override peer.node");
-  const auto nodes = args.getInt("--nodes", -1, "override peer.nodeCount");
-  const auto items = args.getInt("--items", -1, "override peer.itemCount");
-  const auto listenPort = args.getInt("--listen-port", -1, "override peer.listenPort");
-  const std::string peers =
-      args.getString("--peers", "", "override peer.peers (host:port,host:port,...)");
-  const double runSeconds =
-      args.getDouble("--run-seconds", -1.0, "override peer.runSeconds");
-  const std::string tracePath =
-      args.getString("--trace", "", "override peer.tracePath (JSONL output)");
-  const std::string storePath =
-      args.getString("--store", "", "override peer.storePath (append-only log)");
-
+  const std::string setSpec = args.getString(
+      "--set", "", "peer.* keys to patch, \"key=value;key2=value2\" (after --config)");
   if (const auto status = args.finish("dtncache_peerd")) return *status;
 
-  try {
-    peer::PeerdConfig config;
-    if (!configPath.empty()) peer::applyPeerConfigJson(config, readFile(configPath));
-    if (node >= 0) config.node = static_cast<NodeId>(node);
-    if (nodes >= 0) config.nodeCount = static_cast<std::uint32_t>(nodes);
-    if (items >= 0) config.itemCount = static_cast<std::uint32_t>(items);
-    if (listenPort >= 0) config.listenPort = static_cast<std::uint32_t>(listenPort);
-    if (args.provided("--peers")) config.peers = peers;
-    if (runSeconds >= 0.0) config.runSeconds = runSeconds;
-    if (args.provided("--trace")) config.tracePath = tracePath;
-    if (args.provided("--store")) config.storePath = storePath;
-
+  peer::PeerdConfig config;
+  try {  // bad config input, like a bad flag, exits 2
+    if (!configPath.empty())
+      peer::applyPeerConfigJson(config, runner::readConfigFile(configPath));
+    peer::applyPeerConfigJson(config, runner::assignmentsJson(runner::splitAssignments(setSpec)));
     if (dumpConfig) {
       std::cout << peer::dumpPeerConfigJson(config);
       return 0;
     }
     peer::validatePeerConfig(config);
+  } catch (const InvariantViolation& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
+  try {
     obs::Tracer tracer("peerd-node" + std::to_string(config.node));
     obs::Registry registry;
     peer::Peerd daemon(std::move(config), &tracer, &registry);

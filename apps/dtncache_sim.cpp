@@ -1,30 +1,35 @@
 /// \file dtncache_sim.cpp
 /// The dtncache command-line simulator: run any scheme on a preset or
-/// imported contact trace and print (or CSV-emit) the full metric set.
+/// imported contact trace and print a metric table, or with `--csv` the
+/// sweep's record (the header and row `dtncache_sweep --no-wall` writes).
 ///
 /// Examples:
-///   dtncache --trace=infocom --scheme=hierarchical --tau-hours=6
+///   dtncache --trace=infocom --scheme=hierarchical --set=catalog.refreshPeriodSeconds=21600
 ///   dtncache --trace=reality --scheme=flooding --days=21 --csv
-///   dtncache --trace-file=contacts.csv --theta=0.95 --dot=hier.dot
+///   dtncache --trace-file=contacts.csv --set=hierarchical.replication.theta=0.95 --dot=hier.dot
 ///   dtncache --trace-one=one_events.txt --scheme=epidemic
 ///
-/// Per-field flags patch the base config (runner/presets.hpp) only when
-/// given. Trace files: `--trace-file` takes the CSV contact format
-/// (`start,duration,a,b`); `--trace-one` takes ONE-simulator connectivity
-/// events — both accept real Reality/Infocom'06 exports.
+/// `--set="key=value;key=value"` patches the base config (runner/presets.hpp)
+/// with any config_io key, checked as a `--config` file's keys are. Trace
+/// files: `--trace-file` takes the CSV contact format (`start,duration,a,b`);
+/// `--trace-one` takes ONE-simulator connectivity events — both accept real
+/// Reality/Infocom'06 exports.
 
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <optional>
 
+#include "cache/coop_cache.hpp"
 #include "core/hierarchy_dot.hpp"
 #include "metrics/load.hpp"
 #include "metrics/report.hpp"
 #include "obs/tracer.hpp"
 #include "runner/config_io.hpp"
+#include "runner/flat_json.hpp"
 #include "runner/presets.hpp"
-#include "sweep/sweep_engine.hpp"
+#include "sweep/result_sink.hpp"
 #include "trace/one_format.hpp"
 #include "trace/trace_cache.hpp"
 
@@ -38,29 +43,13 @@ int main(int argc, char** argv) {
       args.getString("--trace-file", "", "CSV contact trace to run instead of a preset");
   const std::string traceOne =
       args.getString("--trace-one", "", "ONE-format connectivity trace to run");
-  // Per-field flags patch the preset (or the --config file) only when given.
-  const std::string kPreset = "the preset's value";
   const std::string schemeName = args.getString(
       "--scheme", "",
       "hierarchical | norefresh | sourcedirect | pull | invalidation | epidemic | flooding",
-      kPreset);
-  const double tauHours = args.getDouble("--tau-hours", 0, "refresh period per item", kPreset);
-  const double theta =
-      args.getDouble("--theta", 0, "freshness requirement probability", kPreset);
-  const auto items = args.getInt("--items", 0, "catalog size", kPreset);
-  const auto cachingNodes =
-      args.getInt("--caching-nodes", 0, "caching nodes per item (R)", kPreset);
-  const auto fanout = args.getInt("--fanout", 0, "hierarchy fanout bound", kPreset);
-  const double queries =
-      args.getDouble("--queries-per-day", 0, "queries per node per day", kPreset);
-  const double deadlineHours =
-      args.getDouble("--deadline-hours", 0, "query deadline in hours", kPreset);
-  const auto seed = args.getInt("--seed", 0, "master random seed", kPreset);
-  const bool oracle = args.getBool("--oracle-rates", "plan from true contact rates");
-  const bool noRelays = args.getBool("--no-relays", "disable relay-assisted refresh");
-  const double downtimeHours = args.getDouble(
-      "--churn-downtime-hours", 0.0, "enable churn with this mean downtime (0 = off)");
-  const bool csv = args.getBool("--csv", "emit one CSV row instead of tables");
+      "the config's");
+  const std::string setSpec = args.getString(
+      "--set", "", "config keys to patch, \"key=value;key2=value2\" (config_io dotted keys)");
+  const bool csv = args.getBool("--csv", "print the sweep's CSV record instead of tables");
   const std::string dotFile =
       args.getString("--dot", "", "write item 0's refresh hierarchy as Graphviz dot");
   const bool dumpConfigFlag = args.getBool(
@@ -72,8 +61,6 @@ int main(int argc, char** argv) {
 
   if (!traceFile.empty() && !traceOne.empty())
     args.addError("--trace-file and --trace-one are exclusive: give one trace file");
-  const auto scheme = runner::parseSchemeName(schemeName);
-  if (!scheme && args.provided("--scheme")) args.addError("unknown scheme '" + schemeName + "'");
   obs::KindMask traceFilter = obs::kAllKinds;
   try {  // validated even without --trace-out: typos never pass silently
     traceFilter = obs::parseKindFilter(traceFilterSpec);
@@ -81,9 +68,15 @@ int main(int argc, char** argv) {
     args.addError(e.what());
   }
 
-  if (const auto status = args.finish("dtncache")) return *status;
+  try {  // --scheme=S is the clause scheme=S, before the --set clauses
+    auto clauses = runner::splitAssignments(setSpec);
+    if (args.provided("--scheme")) clauses.insert(clauses.begin(), {"scheme", schemeName});
+    runner::applyConfigJson(config, runner::assignmentsJson(clauses));
+  } catch (const std::exception& e) {
+    args.addError(e.what());
+  }
 
-  if (scheme) config.scheme = *scheme;
+  if (const auto status = args.finish("dtncache")) return *status;
 
   std::optional<trace::ContactTrace> external;
   try {  // an unreadable or malformed trace file is bad input, not a crash
@@ -103,23 +96,6 @@ int main(int argc, char** argv) {
   }
   if (external) config.externalTrace = &*external;
 
-  if (args.provided("--items")) config.catalog.itemCount = static_cast<std::size_t>(items);
-  if (args.provided("--tau-hours")) config.catalog.refreshPeriod = sim::hours(tauHours);
-  if (args.provided("--queries-per-day")) config.workload.queriesPerNodePerDay = queries;
-  if (args.provided("--deadline-hours")) config.workload.queryDeadline = sim::hours(deadlineHours);
-  if (args.provided("--caching-nodes"))
-    config.cache.cachingNodesPerItem = static_cast<std::size_t>(cachingNodes);
-  if (args.provided("--fanout"))
-    config.hierarchical.hierarchy.fanoutBound = static_cast<std::size_t>(fanout);
-  if (args.provided("--theta")) config.hierarchical.replication.theta = theta;
-  if (oracle) config.hierarchical.useOracleRates = !external;  // oracle needs ground truth
-  if (noRelays) config.hierarchical.relayAssisted = false;
-  if (args.provided("--seed")) config.seed = static_cast<std::uint64_t>(seed);
-  if (downtimeHours > 0.0) {
-    config.churnEnabled = true;
-    config.churn.meanDowntime = sim::hours(downtimeHours);
-  }
-
   if (dumpConfigFlag) {
     std::cout << runner::dumpConfig(config);
     return 0;
@@ -132,16 +108,7 @@ int main(int argc, char** argv) {
   std::ostream* traceStream = nullptr;
   std::unique_ptr<obs::Tracer> tracer;
   if (!traceOutPath.empty()) {
-    if (traceOutPath == "-") {
-      traceStream = &std::cout;
-    } else {
-      traceOutFile.open(traceOutPath);
-      if (!traceOutFile.good()) {
-        std::cerr << "error: cannot write " << traceOutPath << "\n";
-        return 2;
-      }
-      traceStream = &traceOutFile;
-    }
+    traceStream = runner::openOutput(traceOutPath, traceOutFile);
     tracer = std::make_unique<obs::Tracer>(sweep::configFingerprint(config), traceFilter);
     config.tracer = tracer.get();
   }
@@ -160,27 +127,12 @@ int main(int argc, char** argv) {
     std::cerr << "trace: " << tracer->eventCount() << " event(s)"
               << (traceOutPath == "-" ? "" : " -> " + traceOutPath) << "\n";
   }
-  const auto& r = out.results;
-  const auto load = metrics::loadStats(r.transfers.perNodeRefreshBytes());
-
   if (csv) {
-    metrics::Table row(
-        {"scheme", "mean_fresh", "final_fresh", "mean_valid", "within_tau", "issued",
-         "answered_ratio", "valid_ratio", "fresh_answer_ratio", "mean_delay_s",
-         "refresh_bytes", "control_bytes", "refresh_gini", "predicted_p", "helpers"});
-    row.addRow({out.scheme, metrics::fmt(r.meanFreshFraction, 4),
-                metrics::fmt(r.finalFreshFraction, 4), metrics::fmt(r.meanValidFraction, 4),
-                metrics::fmt(r.refreshWithinPeriodRatio, 4),
-                std::to_string(r.queries.issued), metrics::fmt(r.queries.answeredRatio(), 4),
-                metrics::fmt(r.queries.successRatio(), 4),
-                metrics::fmt(r.queries.freshAnswerRatio(), 4),
-                metrics::fmt(r.queries.delay.mean(), 1),
-                std::to_string(r.transfers.of(net::Traffic::kRefresh).bytes),
-                std::to_string(r.transfers.of(net::Traffic::kControl).bytes),
-                metrics::fmt(load.gini, 3), metrics::fmt(out.meanPredictedProbability, 4),
-                std::to_string(out.replicationAssignments)});
-    row.printCsv(std::cout);
+    sweep::CsvSink(std::cout, /*wallClock=*/false)
+        .write({sweep::SweepJob{0, config, {}}, std::move(out), 0.0});
   } else {
+    const auto& r = out.results;
+    const auto load = metrics::loadStats(r.transfers.perNodeRefreshBytes());
     std::cout << "scheme: " << out.scheme << "   trace: "
               << (external ? "external" : runner::rateModelName(config.trace.model)) << " ("
               << out.traceStats.nodeCount
@@ -223,20 +175,14 @@ int main(int argc, char** argv) {
     data::CatalogConfig cc = config.catalog;
     cc.nodeCount = world->trace.nodeCount();
     const auto catalog = data::makeUniformCatalog(cc);
-    sim::Simulator simulator;
-    net::Network network(simulator, world->trace);
-    trace::ContactRateEstimator estimator(world->trace.nodeCount(), {}, 0.0);
-    metrics::MetricsCollector collector(catalog, 0.0);
-    cache::CooperativeCache coop(simulator, network, catalog, estimator, collector,
-                                 world->rates, config.cache);
+    const auto& spec = catalog.spec(0);
     const core::RateFn rate = [&world](NodeId i, NodeId j) { return world->rates.rate(i, j); };
     const auto h = core::RefreshHierarchy::build(
-        catalog.spec(0).source, coop.cachingNodesOf(0), rate,
-        catalog.spec(0).refreshPeriod, config.hierarchical.hierarchy);
-    const auto plan = core::planReplication(h, rate, catalog.spec(0).refreshPeriod,
-                                            config.hierarchical.replication);
-    std::ofstream dot(dotFile);
-    dot << core::toDot(h, &plan, rate, catalog.spec(0).refreshPeriod);
+        spec.source, cache::selectCachingNodes(world->rates, cc.nodeCount, catalog, config.cache)[0],
+        rate, spec.refreshPeriod, config.hierarchical.hierarchy);
+    const auto plan =
+        core::planReplication(h, rate, spec.refreshPeriod, config.hierarchical.replication);
+    std::ofstream(dotFile) << core::toDot(h, &plan, rate, spec.refreshPeriod);
     std::cerr << "wrote " << dotFile << "\n";
   }
   return 0;

@@ -25,12 +25,12 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/event.hpp"
 #include "runner/config_io.hpp"
+#include "runner/flat_json.hpp"
 #include "runner/presets.hpp"
 #include "sweep/distributed.hpp"
 #include "sweep/fragment_store.hpp"
@@ -43,20 +43,11 @@ using namespace dtncache;
 
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, sep))
-    if (!part.empty()) parts.push_back(part);
-  return parts;
-}
-
 std::vector<runner::SchemeKind> parseSchemes(const std::string& spec,
                                              runner::ArgParser& args) {
   if (spec == "all") return runner::allSchemes();
   std::vector<runner::SchemeKind> schemes;
-  for (const auto& name : split(spec, ',')) {
+  for (const auto& name : runner::splitList(spec, ',')) {
     if (const auto kind = runner::parseSchemeName(name))
       schemes.push_back(*kind);
     else
@@ -65,36 +56,19 @@ std::vector<runner::SchemeKind> parseSchemes(const std::string& spec,
   return schemes;
 }
 
-/// "key=v1,v2;key2=w1" → axes. The '=' split is on the first '=' only.
+/// "key=v1,v2;key2=w1" → axes: the clauses of runner::splitAssignments,
+/// each value split on ','.
 std::vector<sweep::SweepAxis> parseAxes(const std::string& spec, runner::ArgParser& args) {
   std::vector<sweep::SweepAxis> axes;
-  for (const auto& clause : split(spec, ';')) {
-    const auto eq = clause.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      args.addError("sweep clause '" + clause + "' is not key=v1,v2,...");
-      continue;
+  try {
+    for (const auto& [key, values] : runner::splitAssignments(spec)) {
+      axes.push_back({key, runner::splitList(values, ',')});
+      if (axes.back().values.empty()) args.addError("sweep axis '" + key + "' has no values");
     }
-    sweep::SweepAxis axis;
-    axis.key = clause.substr(0, eq);
-    axis.values = split(clause.substr(eq + 1), ',');
-    if (axis.values.empty()) {
-      args.addError("sweep axis '" + axis.key + "' has no values");
-      continue;
-    }
-    axes.push_back(std::move(axis));
+  } catch (const std::exception& e) {
+    args.addError(e.what());
   }
   return axes;
-}
-
-/// "-" means stdout; otherwise open the file (or die).
-std::ostream* openSink(const std::string& path, std::ofstream& file) {
-  if (path == "-") return &std::cout;
-  file.open(path);
-  if (!file.good()) {
-    std::cerr << "error: cannot write " << path << "\n";
-    std::exit(2);
-  }
-  return &file;
 }
 
 int runSweep(int argc, char** argv) {
@@ -177,10 +151,10 @@ int runSweep(int argc, char** argv) {
     const auto manifest = sweep::decodeManifest(*manifestText);
     const auto units = sweep::workUnits(sweep::expandGrid(manifest.grid));
     std::ofstream jsonlFile, csvFile, traceFile;
-    std::ostream* jsonl = jsonlPath.empty() ? nullptr : openSink(jsonlPath, jsonlFile);
-    std::ostream* csv = csvPath.empty() ? nullptr : openSink(csvPath, csvFile);
+    std::ostream* jsonl = jsonlPath.empty() ? nullptr : runner::openOutput(jsonlPath, jsonlFile);
+    std::ostream* csv = csvPath.empty() ? nullptr : runner::openOutput(csvPath, csvFile);
     std::ostream* traceOut =
-        traceOutPath.empty() ? nullptr : openSink(traceOutPath, traceFile);
+        traceOutPath.empty() ? nullptr : runner::openOutput(traceOutPath, traceFile);
     sweep::mergeFragments(store, sweep::sweepFingerprint(*manifestText), units, jsonl,
                           csv, traceOut);
     if (!quiet)
@@ -221,12 +195,12 @@ int runSweep(int argc, char** argv) {
   std::vector<sweep::ResultSink*> sinks;
   if (!jsonlPath.empty()) {
     owned.push_back(
-        std::make_unique<sweep::JsonlSink>(*openSink(jsonlPath, jsonlFile), !noWall));
+        std::make_unique<sweep::JsonlSink>(*runner::openOutput(jsonlPath, jsonlFile), !noWall));
     sinks.push_back(owned.back().get());
   }
   if (!csvPath.empty()) {
     owned.push_back(
-        std::make_unique<sweep::CsvSink>(*openSink(csvPath, csvFile), !noWall));
+        std::make_unique<sweep::CsvSink>(*runner::openOutput(csvPath, csvFile), !noWall));
     sinks.push_back(owned.back().get());
   }
 
@@ -235,7 +209,7 @@ int runSweep(int argc, char** argv) {
   options.progress = !quiet;
   options.traceFilter = traceFilter;
   std::ofstream traceFile;
-  if (!traceOutPath.empty()) options.traceOut = openSink(traceOutPath, traceFile);
+  if (!traceOutPath.empty()) options.traceOut = runner::openOutput(traceOutPath, traceFile);
   sweep::SweepEngine engine(options);
   const auto results = engine.runJobs(plan, sinks);
 

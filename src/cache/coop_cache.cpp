@@ -18,6 +18,41 @@ constexpr std::uint32_t kVersionVectorBytesPerItem = 16;
 
 }  // namespace
 
+std::vector<std::vector<NodeId>> selectCachingNodes(const trace::RateMatrix& planningRates,
+                                                    std::size_t nodeCount,
+                                                    const data::Catalog& catalog,
+                                                    const CoopCacheConfig& config) {
+  std::vector<std::size_t> sizes = config.cachingNodesPerItemOverride;
+  if (sizes.empty()) sizes.assign(catalog.size(), config.cachingNodesPerItem);
+  DTNCACHE_CHECK_MSG(sizes.size() == catalog.size(),
+                     "per-item caching-node override must cover every item");
+  std::size_t maxSetSize = 0;
+  for (const std::size_t size : sizes) maxSetSize = std::max(maxSetSize, size);
+  DTNCACHE_CHECK(maxSetSize >= 1);
+  // The node count comes from the trace, which may be outside input.
+  if (maxSetSize >= nodeCount)
+    throw std::invalid_argument("need at least one non-caching node as the source (" +
+                                std::to_string(maxSetSize) + " caching nodes per item, " +
+                                std::to_string(nodeCount) + " nodes)");
+
+  // Central ordering once; +1 head-room in case a source must be skipped.
+  const std::vector<NodeId> centralOrder = selectNcls(
+      planningRates, config.centralityWindow, std::min(nodeCount, maxSetSize + 1));
+
+  std::vector<std::vector<NodeId>> sets(catalog.size());
+  for (data::ItemId item = 0; item < catalog.size(); ++item) {
+    const NodeId source = catalog.spec(item).source;
+    auto& set = sets[item];
+    for (NodeId n : centralOrder) {
+      if (n == source) continue;
+      set.push_back(n);
+      if (set.size() == sizes[item]) break;
+    }
+    DTNCACHE_CHECK(set.size() == sizes[item]);
+  }
+  return sets;
+}
+
 CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& network,
                                    const data::Catalog& catalog,
                                    trace::ContactRateEstimator& estimator,
@@ -32,49 +67,17 @@ CooperativeCache::CooperativeCache(sim::Simulator& simulator, net::Network& netw
       config_(config),
       nodeCount_(network.nodeCount()),
       store_(nodeCount_, catalog.size(), config_.cacheCapacityBytes) {
-  DTNCACHE_CHECK(nodeCount_ >= 2);
-  DTNCACHE_CHECK(!catalog_.empty());
+  DTNCACHE_CHECK(nodeCount_ >= 2);  // selectCachingNodes checks the catalog
 
-  auto itemSetSize = [this](data::ItemId item) {
-    return config_.cachingNodesPerItemOverride.empty()
-               ? config_.cachingNodesPerItem
-               : config_.cachingNodesPerItemOverride[item];
-  };
-  if (!config_.cachingNodesPerItemOverride.empty()) {
-    DTNCACHE_CHECK_MSG(config_.cachingNodesPerItemOverride.size() == catalog_.size(),
-                       "per-item caching-node override must cover every item");
-  }
-  std::size_t maxSetSize = 0;
-  for (data::ItemId item = 0; item < catalog_.size(); ++item)
-    maxSetSize = std::max(maxSetSize, itemSetSize(item));
-  DTNCACHE_CHECK(maxSetSize >= 1);
-  // The node count comes from the trace, which may be outside input.
-  if (maxSetSize >= nodeCount_)
-    throw std::invalid_argument("need at least one non-caching node as the source (" +
-                                std::to_string(maxSetSize) + " caching nodes per item, " +
-                                std::to_string(nodeCount_) + " nodes)");
-  answerSlots_ = maxSetSize + 1;
-
-  buffers_.reserve(nodeCount_);
-  for (std::size_t i = 0; i < nodeCount_; ++i) buffers_.emplace_back(config_.bufferCapacityBytes);
-
-  // Central ordering once; +1 head-room in case a source must be skipped.
-  const std::vector<NodeId> centralOrder = selectNcls(
-      planningRates, config_.centralityWindow, std::min(nodeCount_, maxSetSize + 1));
-
-  cachingNodes_.resize(catalog_.size());
+  cachingNodes_ = selectCachingNodes(planningRates, nodeCount_, catalog_, config_);
   cachingBits_ = core::DenseBitset(catalog_.size() * nodeCount_);
   for (data::ItemId item = 0; item < catalog_.size(); ++item) {
-    const NodeId source = catalog_.spec(item).source;
-    auto& set = cachingNodes_[item];
-    for (NodeId n : centralOrder) {
-      if (n == source) continue;
-      set.push_back(n);
+    answerSlots_ = std::max(answerSlots_, cachingNodes_[item].size() + 1);
+    for (NodeId n : cachingNodes_[item])
       cachingBits_.set(static_cast<std::uint64_t>(item) * nodeCount_ + n);
-      if (set.size() == itemSetSize(item)) break;
-    }
-    DTNCACHE_CHECK(set.size() == itemSetSize(item));
   }
+  buffers_.reserve(nodeCount_);
+  for (std::size_t i = 0; i < nodeCount_; ++i) buffers_.emplace_back(config_.bufferCapacityBytes);
   utilities_ = net::ContactUtilities(nodeCount_, catalog_.size());
 
   handshakeHalf_ = ContactProtocol::handshakeBytes(catalog_.size(), kVersionVectorBytesPerItem);

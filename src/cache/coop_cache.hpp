@@ -60,6 +60,14 @@ struct CoopCacheConfig {
   sim::SimTime sampleInterval = sim::hours(1);
 };
 
+/// Every item's caching set as CooperativeCache picks it (NCL order, first R
+/// non-source nodes), without a simulation. Throws std::invalid_argument
+/// when R leaves no node to be the source.
+std::vector<std::vector<NodeId>> selectCachingNodes(const trace::RateMatrix& planningRates,
+                                                    std::size_t nodeCount,
+                                                    const data::Catalog& catalog,
+                                                    const CoopCacheConfig& config);
+
 class CooperativeCache {
  public:
   CooperativeCache(sim::Simulator& simulator, net::Network& network,

@@ -72,16 +72,4 @@ void writeTimeSeriesCsv(const std::string& path,
   }
 }
 
-void Table::printCsv(std::ostream& out) const {
-  auto printRow = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  };
-  printRow(headers_);
-  for (const auto& row : rows_) printRow(row);
-}
-
 }  // namespace dtncache::metrics

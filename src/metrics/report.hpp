@@ -2,8 +2,8 @@
 
 /// \file report.hpp
 /// Aligned-column table printing for the bench harnesses. Every experiment
-/// binary prints a paper-style table through this; `--csv`-minded users get
-/// the same rows via printCsv.
+/// binary prints a paper-style table through this; machine-readable output
+/// is the sweep record (sweep/result_sink.hpp).
 
 #include <iosfwd>
 #include <string>
@@ -24,7 +24,6 @@ class Table {
   Table& addRow(std::vector<std::string> cells);
 
   void print(std::ostream& out) const;
-  void printCsv(std::ostream& out) const;
 
  private:
   std::vector<std::string> headers_;

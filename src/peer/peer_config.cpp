@@ -3,11 +3,15 @@
 #include <cstdlib>
 
 #include "runner/flat_json.hpp"
-#include "sim/assert.hpp"
 
 namespace dtncache::peer {
 
 namespace {
+
+/// Bad config input: a plain message, like the loader's (flat_json.hpp).
+void require(bool ok, const std::string& message) {
+  if (!ok) runner::rejectConfig(message);
+}
 
 void bindAll(const runner::FieldBinder& b, PeerdConfig& c) {
   b.numeric("peer.node", c.node);
@@ -45,67 +49,41 @@ void bindAll(const runner::FieldBinder& b, PeerdConfig& c) {
 }  // namespace
 
 std::string dumpPeerConfigJson(const PeerdConfig& config) {
-  std::ostringstream out;
-  out << "{\n";
-  runner::FieldBinder b;
-  b.mode = runner::FieldBinder::Mode::kDump;
-  b.out = &out;
-  bindAll(b, const_cast<PeerdConfig&>(config));
-  out << "\n}\n";
-  return out.str();
+  return runner::FieldBinder::dump(config, bindAll);
 }
 
 void applyPeerConfigJson(PeerdConfig& config, const std::string& text) {
-  const std::map<std::string, runner::JsonValue> values = runner::parseFlatJson(text);
-  runner::FieldBinder b;
-  b.mode = runner::FieldBinder::Mode::kLoad;
-  b.values = &values;
-  bindAll(b, config);
-  b.requireAllKnown();
+  runner::FieldBinder::load(config, text, bindAll);
 }
 
 void validatePeerConfig(const PeerdConfig& config) {
-  DTNCACHE_CHECK_MSG(config.nodeCount >= 2,
-                     "peer.nodeCount must be >= 2 (a peer needs peers)");
-  DTNCACHE_CHECK_MSG(config.node < config.nodeCount,
-                     "peer.node must be < peer.nodeCount");
-  DTNCACHE_CHECK_MSG(config.itemCount >= 1, "peer.itemCount must be >= 1");
-  DTNCACHE_CHECK_MSG(config.listenPort <= 65535, "peer.listenPort must fit a port");
-  DTNCACHE_CHECK_MSG(config.vvIntervalSeconds > 0.0,
-                     "peer.vvIntervalSeconds must be positive");
-  DTNCACHE_CHECK_MSG(config.maintenanceIntervalSeconds > 0.0,
-                     "peer.maintenanceIntervalSeconds must be positive");
-  DTNCACHE_CHECK_MSG(config.bumpIntervalSeconds > 0.0,
-                     "peer.bumpIntervalSeconds must be positive");
-  DTNCACHE_CHECK_MSG(config.fanoutBound >= 1, "peer.fanoutBound must be >= 1");
-  DTNCACHE_CHECK_MSG(config.tauSeconds > 0.0, "peer.tauSeconds must be positive");
-  DTNCACHE_CHECK_MSG(config.priorRate >= 0.0, "peer.priorRate must be >= 0");
-  DTNCACHE_CHECK_MSG(config.reconnectBaseSeconds > 0.0,
-                     "peer.reconnectBaseSeconds must be positive");
-  DTNCACHE_CHECK_MSG(config.reconnectMaxSeconds >= config.reconnectBaseSeconds,
-                     "peer.reconnectMaxSeconds must be >= the base");
+  require(config.nodeCount >= 2, "peer.nodeCount must be >= 2 (a peer needs peers)");
+  require(config.node < config.nodeCount, "peer.node must be < peer.nodeCount");
+  require(config.itemCount >= 1, "peer.itemCount must be >= 1");
+  require(config.listenPort <= 65535, "peer.listenPort must fit a port");
+  require(config.vvIntervalSeconds > 0.0, "peer.vvIntervalSeconds must be positive");
+  require(config.maintenanceIntervalSeconds > 0.0,
+          "peer.maintenanceIntervalSeconds must be positive");
+  require(config.bumpIntervalSeconds > 0.0, "peer.bumpIntervalSeconds must be positive");
+  require(config.fanoutBound >= 1, "peer.fanoutBound must be >= 1");
+  require(config.tauSeconds > 0.0, "peer.tauSeconds must be positive");
+  require(config.priorRate >= 0.0, "peer.priorRate must be >= 0");
+  require(config.reconnectBaseSeconds > 0.0, "peer.reconnectBaseSeconds must be positive");
+  require(config.reconnectMaxSeconds >= config.reconnectBaseSeconds,
+          "peer.reconnectMaxSeconds must be >= the base");
   parsePeerList(config.peers);  // throws on malformed entries
 }
 
 std::vector<PeerAddr> parsePeerList(const std::string& spec) {
   std::vector<PeerAddr> out;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(start, end - start);
-    start = end + 1;
-    if (entry.empty()) continue;
-
+  for (const std::string& entry : runner::splitList(spec, ',')) {
     const std::size_t colon = entry.rfind(':');
-    DTNCACHE_CHECK_MSG(colon != std::string::npos && colon > 0 &&
-                           colon + 1 < entry.size(),
-                       "peer.peers entry '" << entry << "' is not host:port");
+    require(colon != std::string::npos && colon > 0 && colon + 1 < entry.size(),
+            "peer.peers entry '" + entry + "' is not host:port");
     char* parseEnd = nullptr;
     const long port = std::strtol(entry.c_str() + colon + 1, &parseEnd, 10);
-    DTNCACHE_CHECK_MSG(parseEnd != nullptr && *parseEnd == '\0' && port > 0 &&
-                           port <= 65535,
-                       "peer.peers entry '" << entry << "' has a bad port");
+    require(parseEnd != nullptr && *parseEnd == '\0' && port > 0 && port <= 65535,
+            "peer.peers entry '" + entry + "' has a bad port");
     out.push_back(PeerAddr{entry.substr(0, colon), static_cast<std::uint16_t>(port)});
   }
   return out;

@@ -1,6 +1,8 @@
 #include "runner/args.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <utility>
@@ -118,8 +120,17 @@ std::optional<int> ArgParser::finish(const std::string& programName) const {
   const auto all = errors();
   if (all.empty()) return std::nullopt;
   for (const auto& e : all) std::cerr << "error: " << e << "\n";
-  std::cerr << "\n" << helpText(programName);
   return 2;
+}
+
+std::ostream* openOutput(const std::string& path, std::ofstream& file) {
+  if (path == "-") return &std::cout;
+  file.open(path);
+  if (!file.good()) {
+    std::cerr << "error: cannot write " << path << "\n";
+    std::exit(2);
+  }
+  return &file;
 }
 
 }  // namespace dtncache::runner

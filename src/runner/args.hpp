@@ -10,6 +10,7 @@
 /// an error.
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -48,8 +49,8 @@ class ArgParser {
   /// Usage text from the registered options.
   std::string helpText(const std::string& programName) const;
 
-  /// After all lookups: prints the usage for --help (status 0), or every
-  /// error and the usage (status 2). nullopt means carry on.
+  /// After all lookups: prints the usage for --help (status 0), or one
+  /// `error:` line per error (status 2). nullopt means carry on.
   std::optional<int> finish(const std::string& programName) const;
 
  private:
@@ -67,5 +68,9 @@ class ArgParser {
   std::vector<std::string> parseErrors_;
   bool helpRequested_ = false;
 };
+
+/// The stream an output flag names: stdout for "-", else `path` opened into
+/// `file`. A file that cannot be written prints `error:` and exits 2.
+std::ostream* openOutput(const std::string& path, std::ofstream& file);
 
 }  // namespace dtncache::runner

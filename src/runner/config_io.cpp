@@ -1,7 +1,6 @@
 #include "runner/config_io.hpp"
 
 #include <fstream>
-#include <sstream>
 
 #include "runner/flat_json.hpp"
 #include "sim/assert.hpp"
@@ -130,14 +129,7 @@ std::optional<SchemeKind> parseSchemeName(const std::string& name) {
 }
 
 std::string dumpConfig(const ExperimentConfig& config) {
-  std::ostringstream out;
-  out << "{\n";
-  FieldBinder b;
-  b.mode = FieldBinder::Mode::kDump;
-  b.out = &out;
-  bindAll(b, const_cast<ExperimentConfig&>(config));  // dump never mutates
-  out << "\n}\n";
-  return out.str();
+  return FieldBinder::dump(config, bindAll);
 }
 
 ExperimentConfig loadConfig(const std::string& json) {
@@ -147,21 +139,11 @@ ExperimentConfig loadConfig(const std::string& json) {
 }
 
 void applyConfigJson(ExperimentConfig& config, const std::string& json) {
-  const auto values = parseFlatJson(json);
-
-  FieldBinder b;
-  b.mode = FieldBinder::Mode::kLoad;
-  b.values = &values;
-  bindAll(b, config);
-  b.requireAllKnown();
+  FieldBinder::load(config, json, bindAll);
 }
 
 ExperimentConfig loadConfigFile(const std::string& path) {
-  std::ifstream in(path);
-  DTNCACHE_CHECK_MSG(in.good(), "cannot open config file " << path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return loadConfig(buf.str());
+  return loadConfig(readConfigFile(path));
 }
 
 void saveConfigFile(const ExperimentConfig& config, const std::string& path) {

@@ -2,129 +2,23 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <stdexcept>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
+#include <fstream>
 
 #include "obs/tracer.hpp"
 
 namespace dtncache::runner {
 namespace {
 
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(const std::string& text) : text_(text) {}
-
-  std::map<std::string, JsonValue> parse() {
-    std::map<std::string, JsonValue> out;
-    skipWs();
-    expect('{');
-    skipWs();
-    if (peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skipWs();
-      const std::string key = parseString();
-      skipWs();
-      expect(':');
-      skipWs();
-      out[key] = parseValue(key);
-      skipWs();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      break;
-    }
-    skipWs();
-    DTNCACHE_CHECK_MSG(pos_ >= text_.size(), "trailing characters after JSON object");
-    return out;
-  }
-
- private:
-  char peek() const {
-    DTNCACHE_CHECK_MSG(pos_ < text_.size(), "unexpected end of JSON");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    DTNCACHE_CHECK_MSG(peek() == c, "expected '" << c << "' at offset " << pos_);
-    ++pos_;
-  }
-  void skipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                                   text_[pos_] == '\t' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-  std::string parseString() {
-    expect('"');
-    std::string s;
-    while (peek() != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default:
-            DTNCACHE_CHECK_MSG(false, "unsupported escape \\" << esc);
-        }
-      }
-      s += c;
-    }
-    ++pos_;
-    return s;
-  }
-  JsonValue parseValue(const std::string& key) {
-    const char c = peek();
-    if (c == '"') return parseString();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    // Number.
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) || text_[end] == '-' ||
-            text_[end] == '+' || text_[end] == '.' || text_[end] == 'e' ||
-            text_[end] == 'E'))
-      ++end;
-    DTNCACHE_CHECK_MSG(end > pos_, "expected a JSON value at offset " << pos_);
-    const std::string num = text_.substr(pos_, end - pos_);
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(num, &used);
-    } catch (const std::invalid_argument&) {
-      used = 0;  // no digits: reported as malformed below
-    } catch (const std::out_of_range&) {
-      throw InvariantViolation("key '" + key + "' value " + num +
-                               " is out of range for a double");
-    }
-    DTNCACHE_CHECK_MSG(used == num.size(), "malformed number '" << num << "'");
-    pos_ = end;
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::map<std::string, JsonValue> parseFlatJson(const std::string& text) {
-  FlatJsonParser parser(text);
-  return parser.parse();
+bool isNumberChar(char c) {
+  return std::isdigit(static_cast<unsigned char>(c)) || c == '-' || c == '+' || c == '.' ||
+         c == 'e' || c == 'E';
 }
 
+/// Levenshtein distance — small strings, classic DP; used only on the
+/// error path so clarity beats cleverness.
 std::size_t editDistance(const std::string& a, const std::string& b) {
   std::vector<std::size_t> row(b.size() + 1);
   for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
@@ -141,6 +35,8 @@ std::size_t editDistance(const std::string& a, const std::string& b) {
   return row[b.size()];
 }
 
+/// The valid key closest to `key` by edit distance, or empty when nothing
+/// is within a plausible-typo radius (half the key length).
 std::string nearestKey(const std::string& key, const std::vector<std::string>& known) {
   std::string best;
   std::size_t bestDistance = std::max<std::size_t>(key.size() / 2, 2) + 1;
@@ -154,21 +50,197 @@ std::string nearestKey(const std::string& key, const std::vector<std::string>& k
   return best;
 }
 
+class FlatJsonParser {
+ public:
+  explicit FlatJsonParser(const std::string& text) : text_(text) {}
+
+  std::map<std::string, JsonValue> parse() {
+    std::map<std::string, JsonValue> out;
+    skipWs();
+    expect('{');
+    skipWs();
+    for (bool more = peek() != '}'; more;) {
+      skipWs();
+      key_ = parseString();
+      literal_.clear();
+      skipWs();
+      expect(':');
+      skipWs();
+      const std::size_t valueStart = pos_;
+      out[key_] = parseValue();
+      literal_ = text_.substr(valueStart, pos_ - valueStart);
+      skipWs();
+      more = peek() == ',';
+      pos_ += more ? 1 : 0;
+    }
+    expect('}');
+    skipWs();
+    if (pos_ < text_.size()) fail("trailing characters after the closing '}'");
+    return out;
+  }
+
+ private:
+  /// A syntax error, placed by the key being read or the last key and value.
+  [[noreturn]] void fail(const std::string& what) const {
+    std::string where;
+    if (!key_.empty())
+      where = literal_.empty() ? " at key '" + key_ + "'"
+                               : " after key '" + key_ + "' value " + literal_;
+    rejectConfig("config JSON" + where + ": " + what);
+  }
+  char peek() const {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_];
+  }
+  void expect(char c) {
+    if (peek() != c)
+      fail(std::string("expected '") + c + "' at offset " + std::to_string(pos_) +
+           ", found '" + text_[pos_] + "'");
+    ++pos_;
+  }
+  void skipWs() {
+    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+  }
+  std::string parseString() {
+    expect('"');
+    std::string s;
+    while (peek() != '"') {
+      char c = text_[pos_++];
+      if (c == '\\') {
+        const char esc = peek();
+        ++pos_;
+        switch (esc) {
+          case '"': c = '"'; break;
+          case '\\': c = '\\'; break;
+          case 'n': c = '\n'; break;
+          case 't': c = '\t'; break;
+          default:
+            fail(std::string("unsupported escape \\") + esc);
+        }
+      }
+      s += c;
+    }
+    ++pos_;
+    return s;
+  }
+  JsonValue parseValue() {
+    const char c = peek();
+    if (c == '"') return parseString();
+    for (const std::string word : {"true", "false"})
+      if (text_.compare(pos_, word.size(), word) == 0) {
+        pos_ += word.size();
+        return word == "true";
+      }
+    // Number.
+    std::size_t end = pos_;
+    while (end < text_.size() && isNumberChar(text_[end])) ++end;
+    if (end == pos_) fail(std::string("expected a value, found '") + c + "'");
+    const std::string num = text_.substr(pos_, end - pos_);
+    char* stop = nullptr;
+    errno = 0;
+    const double v = std::strtod(num.c_str(), &stop);
+    if (stop != num.c_str() + num.size()) fail("malformed number '" + num + "'");
+    if (errno == ERANGE)
+      rejectConfig("key '" + key_ + "' value " + num + " is out of range for a double");
+    pos_ = end;
+    return v;
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+  std::string key_;      ///< the key being read, or the last one read
+  std::string literal_;  ///< its value as written, once read
+};
+
+}  // namespace
+
+void rejectConfig(const std::string& message) { throw InvariantViolation(message); }
+
+std::map<std::string, JsonValue> parseFlatJson(const std::string& text) {
+  FlatJsonParser parser(text);
+  return parser.parse();
+}
+
+std::string readConfigFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) rejectConfig("cannot open config file " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+std::vector<std::string> splitList(const std::string& text, char sep) {
+  std::vector<std::string> parts;
+  std::istringstream in(text);
+  std::string part;
+  while (std::getline(in, part, sep))
+    if (!part.empty()) parts.push_back(part);
+  return parts;
+}
+
+std::vector<Assignment> splitAssignments(const std::string& spec) {
+  std::vector<Assignment> clauses;
+  for (const std::string& clause : splitList(spec, ';')) {
+    const auto eq = clause.find('=');
+    if (eq == std::string::npos || eq == 0)
+      rejectConfig("clause '" + clause + "' is not key=value");
+    clauses.push_back({clause.substr(0, eq), clause.substr(eq + 1)});
+  }
+  return clauses;
+}
+
+std::string jsonScalar(const std::string& raw) {
+  if (raw == "true" || raw == "false") return raw;
+  // Only number characters, all read by strtod (which also reads "0x10").
+  if (!raw.empty() && std::all_of(raw.begin(), raw.end(), isNumberChar)) {
+    char* end = nullptr;
+    std::strtod(raw.c_str(), &end);
+    if (end == raw.c_str() + raw.size()) return raw;
+  }
+  std::string quoted;
+  obs::appendJsonString(quoted, raw);
+  return quoted;
+}
+
+std::string assignmentsJson(const std::vector<Assignment>& clauses) {
+  std::string json = "{";
+  for (const auto& [key, value] : clauses) {
+    if (json.size() > 1) json += ", ";
+    obs::appendJsonString(json, key);
+    json += ": " + jsonScalar(value);
+  }
+  return json + "}";
+}
+
 void FieldBinder::requireAllKnown() const {
-  DTNCACHE_CHECK(mode == Mode::kLoad && values != nullptr);
   for (const auto& [key, value] : *values) {
     (void)value;
     if (std::find(knownKeys.begin(), knownKeys.end(), key) != knownKeys.end()) continue;
     const std::string suggestion = nearestKey(key, knownKeys);
-    DTNCACHE_CHECK_MSG(false, "unknown config key '"
-                                  << key << "'"
-                                  << (suggestion.empty()
-                                          ? std::string{}
-                                          : "; did you mean '" + suggestion + "'?"));
+    rejectConfig("unknown config key '" + key + "'" +
+                 (suggestion.empty() ? std::string{} : "; did you mean '" + suggestion + "'?"));
   }
 }
 
-bool FieldBinder::integral(double v) { return std::nearbyint(v) == v; }
+void FieldBinder::rejectValue(const std::string& key, const JsonValue& value,
+                              const std::string& reason) {
+  std::string literal;
+  if (const auto* number = std::get_if<double>(&value)) {
+    char buf[32];  // the shortest text that reads back: 4294967299, not 4.29497e+09
+    literal.assign(buf, std::to_chars(buf, buf + sizeof buf, *number).ptr);
+  } else if (const auto* flag = std::get_if<bool>(&value)) {
+    literal = *flag ? "true" : "false";
+  } else {
+    obs::appendJsonString(literal, std::get<std::string>(value));
+  }
+  rejectConfig("key '" + key + "' value " + literal + " " + reason);
+}
+
+const JsonValue* FieldBinder::find(const std::string& key) const {
+  knownKeys.push_back(key);
+  const auto it = values->find(key);
+  return it == values->end() ? nullptr : &it->second;
+}
 
 void FieldBinder::emitText(const std::string& key, const std::string& s) const {
   std::string quoted;

@@ -9,6 +9,7 @@
 /// others — essential for paired comparisons between schemes on the same
 /// trace.
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -36,30 +37,49 @@ class Rng {
     return Rng(z);
   }
 
-  /// Uniform in [0, 1).
-  double uniform() { return std::uniform_real_distribution<double>(0.0, 1.0)(engine_); }
+  // The draws are libstdc++'s formulas written out, not <random>'s
+  // distributions, whose algorithms each library picks: same bits anywhere.
+
+  /// Uniform in [0, 1): a 64-bit draw scaled by 2^-64, kept below 1.
+  double uniform() {
+    const double u = static_cast<double>(engine_()) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) {
     DTNCACHE_CHECK(lo <= hi);
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return uniform() * (hi - lo) + lo;
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive: Lemire's 128-bit multiply,
+  /// rejecting the low products that would bias it.
   std::int64_t uniformInt(std::int64_t lo, std::int64_t hi) {
     DTNCACHE_CHECK(lo <= hi);
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    __extension__ using Wide = unsigned __int128;
+    const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    std::uint64_t draw = engine_();
+    if (span != 0) {  // 0: the full 64-bit range, where every draw fits
+      Wide product = static_cast<Wide>(draw) * span;
+      if (static_cast<std::uint64_t>(product) < span) {
+        const std::uint64_t threshold = -span % span;
+        while (static_cast<std::uint64_t>(product) < threshold)
+          product = static_cast<Wide>(engine_()) * span;
+      }
+      draw = static_cast<std::uint64_t>(product >> 64);
+    }
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + draw);
   }
 
   bool bernoulli(double p) {
     DTNCACHE_CHECK(p >= 0.0 && p <= 1.0);
-    return std::bernoulli_distribution(p)(engine_);
+    return uniform() < p;
   }
 
   /// Exponential with the given rate (mean 1/rate).
   double exponential(double rate) {
     DTNCACHE_CHECK(rate > 0.0);
-    return std::exponential_distribution<double>(rate)(engine_);
+    return -std::log(1.0 - uniform()) / rate;
   }
 
   /// Pareto (type I) with scale x_m > 0 and shape alpha > 0.

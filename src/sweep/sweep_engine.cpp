@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <iostream>
 #include <memory>
@@ -34,18 +33,6 @@ void printProgress(std::size_t emitted, std::size_t completed, std::size_t total
 }
 
 }  // namespace
-
-std::string jsonScalar(const std::string& raw) {
-  if (raw == "true" || raw == "false") return raw;
-  if (!raw.empty()) {
-    char* end = nullptr;
-    std::strtod(raw.c_str(), &end);
-    if (end == raw.c_str() + raw.size()) return raw;  // whole string is a number
-  }
-  std::string quoted;
-  obs::appendJsonString(quoted, raw);
-  return quoted;
-}
 
 std::uint64_t fnv1a64(const std::string& text) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
@@ -86,8 +73,7 @@ std::vector<SweepJob> expandGrid(const SweepGrid& grid) {
     for (std::size_t a = 0; a < grid.axes.size(); ++a) {
       const std::string& raw = grid.axes[a].values[odometer[a]];
       // Unknown keys and type mismatches fail here, before anything runs.
-      runner::applyConfigJson(
-          cell, "{\"" + grid.axes[a].key + "\": " + jsonScalar(raw) + "}");
+      runner::applyConfigJson(cell, runner::assignmentsJson({{grid.axes[a].key, raw}}));
       overrides.emplace_back(grid.axes[a].key, raw);
     }
     for (const auto scheme : schemes) {

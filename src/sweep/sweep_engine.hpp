@@ -25,6 +25,7 @@
 
 #include "obs/event.hpp"
 #include "runner/experiment.hpp"
+#include "runner/flat_json.hpp"
 
 namespace dtncache::sweep {
 
@@ -56,9 +57,8 @@ struct SweepJob {
 /// axes, so a typo'd axis fails before any simulation runs.
 std::vector<SweepJob> expandGrid(const SweepGrid& grid);
 
-/// Raw axis value → JSON scalar literal (numbers and booleans pass
-/// through, anything else is quoted).
-std::string jsonScalar(const std::string& raw);
+/// Raw axis value → JSON scalar literal (runner/flat_json.hpp).
+using runner::jsonScalar;
 
 /// FNV-1a 64 of arbitrary text — the hash behind config and sweep
 /// fingerprints (work_unit.hpp).

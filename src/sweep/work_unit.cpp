@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "runner/config_io.hpp"
+#include "runner/flat_json.hpp"
 #include "sim/assert.hpp"
 
 namespace dtncache::sweep {
@@ -16,15 +17,6 @@ runner::SchemeKind schemeByName(const std::string& name) {
     if (name == runner::schemeName(kind)) return kind;
   DTNCACHE_CHECK_MSG(false, "manifest names unknown scheme '" << name << "'");
   return runner::SchemeKind::kHierarchical;  // unreachable
-}
-
-std::vector<std::string> splitList(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, sep))
-    if (!part.empty()) parts.push_back(part);
-  return parts;
 }
 
 std::uint64_t parseU64(const std::string& text, const char* what) {
@@ -59,13 +51,11 @@ std::string encodeManifest(const SweepManifest& manifest) {
     out << '\n';
   }
   for (const auto& axis : manifest.grid.axes) {
-    DTNCACHE_CHECK_MSG(axis.key.find('=') == std::string::npos &&
-                           axis.key.find('\n') == std::string::npos,
+    DTNCACHE_CHECK_MSG(axis.key.find_first_of("=;\n") == std::string::npos,
                        "axis key '" << axis.key << "' cannot be serialized");
     out << "axis " << axis.key << '=';
     for (std::size_t i = 0; i < axis.values.size(); ++i) {
-      DTNCACHE_CHECK_MSG(axis.values[i].find(',') == std::string::npos &&
-                             axis.values[i].find('\n') == std::string::npos,
+      DTNCACHE_CHECK_MSG(axis.values[i].find_first_of(",;\n") == std::string::npos,
                          "axis value '" << axis.values[i] << "' cannot be serialized");
       out << (i == 0 ? "" : ",") << axis.values[i];
     }
@@ -101,21 +91,18 @@ SweepManifest decodeManifest(const std::string& text) {
     } else if (key == "trace-filter") {
       manifest.traceFilter = parseU64(value, "trace filter");
     } else if (key == "schemes") {
-      for (const auto& name : splitList(value, ','))
+      for (const auto& name : runner::splitList(value, ','))
         manifest.grid.schemes.push_back(schemeByName(name));
     } else if (key == "seeds") {
-      for (const auto& seed : splitList(value, ','))
+      for (const auto& seed : runner::splitList(value, ','))
         manifest.grid.seeds.push_back(parseU64(seed, "seed"));
     } else if (key == "axis") {
-      const auto eq = value.find('=');
-      DTNCACHE_CHECK_MSG(eq != std::string::npos && eq > 0,
-                         "malformed manifest axis '" << value << "'");
-      SweepAxis axis;
-      axis.key = value.substr(0, eq);
-      axis.values = splitList(value.substr(eq + 1), ',');
-      DTNCACHE_CHECK_MSG(!axis.values.empty(),
-                         "manifest axis '" << axis.key << "' has no values");
-      manifest.grid.axes.push_back(std::move(axis));
+      const auto clauses = runner::splitAssignments(value);
+      DTNCACHE_CHECK_MSG(clauses.size() == 1, "malformed manifest axis '" << value << "'");
+      const auto& [axisKey, values] = clauses.front();
+      manifest.grid.axes.push_back({axisKey, runner::splitList(values, ',')});
+      DTNCACHE_CHECK_MSG(!manifest.grid.axes.back().values.empty(),
+                         "manifest axis '" << axisKey << "' has no values");
     } else {
       DTNCACHE_CHECK_MSG(false, "unknown manifest key '" << key << "'");
     }

@@ -107,8 +107,10 @@ ContactTrace ContactTrace::readCsv(std::istream& in) {
   std::string line;
   std::vector<Contact> contacts;
   std::size_t maxNode = 0;
+  std::size_t lineNumber = 0;
   bool first = true;
   while (std::getline(in, line)) {
+    ++lineNumber;
     if (line.empty()) continue;
     if (first) {  // skip header
       first = false;
@@ -121,8 +123,13 @@ ContactTrace ContactTrace::readCsv(std::istream& in) {
     // Outside input: a plain error, not an invariant violation.
     if (ls.fail() || c.a == c.b || !(c.start >= 0.0 && c.duration >= 0.0))
       throw std::runtime_error("malformed trace line: " + line);
+    const NodeId top = std::max(c.a, c.b);
+    if (top >= kMaxTraceNodes)
+      throw std::runtime_error("node id " + std::to_string(top) + " above the limit " +
+                               std::to_string(kMaxTraceNodes - 1) + " on trace line " +
+                               std::to_string(lineNumber) + ": " + line);
     contacts.push_back(c);
-    maxNode = std::max<std::size_t>(maxNode, std::max(c.a, c.b));
+    maxNode = std::max<std::size_t>(maxNode, top);
   }
   return ContactTrace(maxNode + 1, std::move(contacts));
 }

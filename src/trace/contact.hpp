@@ -37,6 +37,11 @@ namespace dtncache::trace {
 /// other layer that flat-keys id pairs.
 inline std::uint64_t pairKey(NodeId a, NodeId b) { return core::packSymmetricPair(a, b); }
 
+/// Trace files name node ids below this only: a run allocates per-node state
+/// up to the largest id. docs/scaling.md's 100k-node recipe peaks at 440 MiB,
+/// linear in nodes, so 10x that (~4.4 GiB) is about one machine's worth.
+inline constexpr NodeId kMaxTraceNodes = 1'000'000;
+
 /// One pairwise encounter. `a < b` is normalized on insertion.
 struct Contact {
   sim::SimTime start = 0.0;
@@ -89,8 +94,8 @@ class ContactTrace {
   ContactTrace truncated(sim::SimTime cutoff) const;
 
   /// CSV round-trip. Format: header line then `start,duration,a,b` rows.
-  /// A file that cannot be opened, or a line that is not two non-negative
-  /// times and two distinct node ids, throws std::runtime_error.
+  /// An unopenable file, or a line that is not two non-negative times and two
+  /// distinct node ids below kMaxTraceNodes, throws std::runtime_error.
   static ContactTrace loadCsv(const std::string& path);
   void saveCsv(const std::string& path) const;
   static ContactTrace readCsv(std::istream& in);

@@ -5,9 +5,9 @@
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
-#include "sim/assert.hpp"
 
 namespace dtncache::trace {
 
@@ -17,15 +17,23 @@ OneImportResult loadOneConnectivity(std::istream& in) {
   std::vector<Contact> contacts;
   std::unordered_map<std::uint64_t, sim::SimTime> open;  // pair -> up time
 
+  std::string line;
+  std::size_t lineNumber = 0;
+  auto reject = [&](const std::string& what) {  // outside input: name the line
+    throw std::runtime_error(what + " on ONE trace line " + std::to_string(lineNumber) +
+                             ": " + line);
+  };
   auto idOf = [&](const std::string& host) {
     const auto [it, inserted] = ids.emplace(host, static_cast<NodeId>(ids.size()));
+    if (inserted && it->second >= kMaxTraceNodes)
+      reject("more than " + std::to_string(kMaxTraceNodes) + " hosts");
     if (inserted) result.hostNames.push_back(host);
     return it->second;
   };
 
-  std::string line;
   sim::SimTime lastTime = 0.0;
   while (std::getline(in, line)) {
+    ++lineNumber;
     if (line.empty()) continue;
     std::istringstream ls(line);
     double time = 0.0;
@@ -38,7 +46,7 @@ OneImportResult loadOneConnectivity(std::istream& in) {
       ++result.ignoredLines;
       continue;
     }
-    DTNCACHE_CHECK_MSG(time >= 0.0, "negative timestamp in ONE trace: " << line);
+    if (!(time >= 0.0)) reject("negative timestamp");
     lastTime = std::max(lastTime, time);
     const NodeId a = idOf(h1);
     const NodeId b = idOf(h2);

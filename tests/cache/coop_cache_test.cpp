@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <random>
@@ -107,6 +108,42 @@ TEST(CoopCache, CachingNodesAreCentralNonSourceNodes) {
   EXPECT_TRUE(rig.coop.isCachingNode(2, 0));
   EXPECT_FALSE(rig.coop.isCachingNode(0, 0));  // the source never "caches"
   EXPECT_FALSE(rig.coop.isCachingNode(3, 0));
+}
+
+// The caching sets depend on the rates, the catalog and the config alone:
+// selectCachingNodes, which needs no simulation, returns the constructor's
+// sets, skipping each item's source.
+TEST(CoopCache, SelectCachingNodesIsTheConstructorsChoice) {
+  trace::RateMatrix rates(6);
+  for (NodeId i = 0; i < 6; ++i)
+    for (NodeId j = i + 1; j < 6; ++j) rates.setRate(i, j, 0.01 * (i + 1) + 0.001 * j);
+  std::vector<data::ItemSpec> specs;
+  for (const NodeId source : {5u, 0u, 4u}) {
+    data::ItemSpec s;
+    s.id = static_cast<data::ItemId>(specs.size());
+    s.source = source;
+    s.refreshPeriod = 100.0;
+    s.lifetime = 200.0;
+    specs.push_back(s);
+  }
+  const data::Catalog catalog(specs);
+  trace::ContactTrace trace(6, {{1.0, 1.0, 0, 1}});
+  sim::Simulator simulator;
+  net::Network network(simulator, trace);
+  trace::ContactRateEstimator estimator(6, Rig::estimatorConfig(), 0.0);
+  metrics::MetricsCollector collector(catalog, 0.0);
+  CoopCacheConfig cfg;
+  cfg.cachingNodesPerItem = 3;
+  const CooperativeCache coop(simulator, network, catalog, estimator, collector, rates, cfg);
+
+  const auto sets = selectCachingNodes(rates, 6, catalog, cfg);
+  ASSERT_EQ(sets.size(), catalog.size());
+  for (data::ItemId item = 0; item < catalog.size(); ++item) {
+    EXPECT_EQ(sets[item], coop.cachingNodesOf(item));
+    EXPECT_EQ(std::count(sets[item].begin(), sets[item].end(), specs[item].source), 0);
+  }
+  cfg.cachingNodesPerItem = 6;
+  EXPECT_THROW(selectCachingNodes(rates, 6, catalog, cfg), std::invalid_argument);
 }
 
 TEST(CoopCache, WarmStartPopulatesCaches) {

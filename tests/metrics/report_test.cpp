@@ -47,14 +47,6 @@ TEST(Table, ColumnsAlignAcrossRows) {
   EXPECT_EQ(header.find("long_header"), row.find("1"));
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.addRow({"1", "2"});
-  std::ostringstream os;
-  t.printCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TimeSeriesCsv, WritesHeaderAndAlignedRows) {
   sim::TimeSeries a;
   sim::TimeSeries b;

@@ -50,6 +50,20 @@ TEST(PeerConfig, UnknownKeyGetsNearestSuggestion) {
   }
 }
 
+// The value a 32-bit field cannot hold is named as given, not rounded to
+// 4.29497e+09 and not cast down to 3.
+TEST(PeerConfig, OutOfRangeNodeCountNamedAsGiven) {
+  PeerdConfig config;
+  try {
+    applyPeerConfigJson(config, "{\"peer.nodeCount\": 4294967299}");
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    EXPECT_STREQ(e.what(),
+                 "key 'peer.nodeCount' value 4294967299 is out of range for its type "
+                 "(0 to 4294967295)");
+  }
+}
+
 TEST(PeerConfig, BadEnumValueRejected) {
   PeerdConfig config;
   EXPECT_THROW(applyPeerConfigJson(config, "{\"peer.pushPolicy\": \"flood\"}"),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "runner/flat_json.hpp"
+
 namespace dtncache::runner {
 namespace {
 
@@ -162,6 +164,95 @@ TEST(ConfigIo, NumberBeyondDoubleRangeRejectedWithKeyAndLiteral) {
   }
   const std::string m = message(R"({"seed": -})");
   EXPECT_NE(m.find("malformed number '-'"), std::string::npos) << m;
+}
+
+// Every rejection of config input is one plain line naming the key and the
+// value as given (4294967299, not 4.29497e+09): no check text, no source
+// location, so a CLI prints it as is.
+TEST(ConfigIo, RejectionsArePlainLinesNamingKeyAndValue) {
+  const auto message = [](const std::string& json) -> std::string {
+    try {
+      loadConfig(json);
+    } catch (const InvariantViolation& e) {
+      return e.what();
+    }
+    ADD_FAILURE() << "expected InvariantViolation for " << json;
+    return "";
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"seed": -})", "config JSON at key 'seed': malformed number '-'"},
+      {R"({"seed": 1)", "config JSON after key 'seed' value 1: unexpected end of input"},
+      {R"({"seed": 1} x)",
+       "config JSON after key 'seed' value 1: trailing characters after the closing '}'"},
+      {R"({"seed" 1})", "config JSON at key 'seed': expected ':' at offset 8, found '1'"},
+      {R"({"trace.nodeCount": 4294967299.5})",
+       "key 'trace.nodeCount' value 4294967299.5 must be an integer"},
+      {R"({"cache.cachingNodesPerItem": -3})",
+       "key 'cache.cachingNodesPerItem' value -3 is out of range for its type "
+       "(0 to 18446744073709551615)"},
+      {R"({"cache.warmStart": 1})", "key 'cache.warmStart' value 1 must be true or false"},
+      {R"({"seed": "4"})", R"(key 'seed' value "4" must be a number)"},
+      {R"({"scheme": "telepathy"})",
+       R"(key 'scheme' value "telepathy" is not one of hierarchical, norefresh, )"
+       "sourcedirect, epidemic, flooding, pull, invalidation"},
+      {R"({"cache.warmStarts": true})",
+       "unknown config key 'cache.warmStarts'; did you mean 'cache.warmStart'?"},
+  };
+  for (const auto& [json, expected] : cases) EXPECT_EQ(message(json), expected) << json;
+}
+
+// `--set` clauses: split on ';', each on its first '=', so a value keeps
+// its commas and '=' signs; a clause without a key or '=' is rejected.
+TEST(FlatJson, SplitAssignmentsKeepsCommasAndEqualsInValues) {
+  const auto clauses = splitAssignments("peer.peers=h:1,h:2;;x=y=z;seed=;");
+  ASSERT_EQ(clauses.size(), 3u);
+  EXPECT_EQ(clauses[0].first, "peer.peers");
+  EXPECT_EQ(clauses[0].second, "h:1,h:2");
+  EXPECT_EQ(clauses[1].first, "x");
+  EXPECT_EQ(clauses[1].second, "y=z");
+  EXPECT_EQ(clauses[2].first, "seed");
+  EXPECT_EQ(clauses[2].second, "");
+  EXPECT_TRUE(splitAssignments("").empty());
+  for (const std::string bad : {"seed", "=4", "seed=4;theta"}) {
+    try {
+      splitAssignments(bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const InvariantViolation& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("clause '", 0), 0u) << e.what();
+    }
+  }
+}
+
+// Only what the flat-JSON reader takes as a number passes unquoted, so
+// "0x10" or "nan" reach the binder as strings and get its plain message.
+TEST(FlatJson, AssignmentsJsonQuotesWhatIsNotANumber) {
+  EXPECT_EQ(assignmentsJson({{"seed", "4"},
+                             {"theta", "-0.5e3"},
+                             {"scheme", "epidemic"},
+                             {"hex", "0x10"},
+                             {"nan", "nan"},
+                             {"flag", "true"},
+                             {"q\"k", ""}}),
+            R"({"seed": 4, "theta": -0.5e3, "scheme": "epidemic", "hex": "0x10", )"
+            R"("nan": "nan", "flag": true, "q\"k": ""})");
+  ExperimentConfig config;
+  try {
+    applyConfigJson(config, assignmentsJson({{"seed", "0x10"}}));
+    ADD_FAILURE() << "seed=0x10 accepted";
+  } catch (const InvariantViolation& e) {
+    EXPECT_STREQ(e.what(), R"(key 'seed' value "0x10" must be a number)");
+  }
+}
+
+TEST(ConfigIo, SetClausesLoadLikeAConfigFile) {
+  ExperimentConfig config = loadConfig("{}");
+  applyConfigJson(config, assignmentsJson(splitAssignments(
+                              "seed=4;scheme=epidemic;hierarchical.relayAssisted=false;"
+                              "catalog.refreshPeriodSeconds=21600")));
+  EXPECT_EQ(config.seed, 4u);
+  EXPECT_EQ(config.scheme, SchemeKind::kEpidemic);
+  EXPECT_FALSE(config.hierarchical.relayAssisted);
+  EXPECT_EQ(config.catalog.refreshPeriod, sim::hours(6));
 }
 
 TEST(ConfigIo, UnknownEnumValueRejected) {

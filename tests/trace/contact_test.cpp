@@ -122,6 +122,25 @@ TEST(ContactTrace, CsvSelfContactOrNegativeTimeIsMalformed) {
   }
 }
 
+// The node count is the largest id + 1, so one stray id would allocate
+// per-node state for billions of nodes: ids at or above kMaxTraceNodes are
+// rejected with the line number and text, the largest allowed id loads.
+TEST(ContactTrace, CsvNodeIdAboveTheLimitNamesTheLine) {
+  std::stringstream bad("start,duration,a,b\n0,60,0,1\n100,60,1,4000000000\n");
+  try {
+    ContactTrace::readCsv(bad);
+    FAIL() << "readCsv accepted node id 4000000000";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "node id 4000000000 above the limit 999999 on trace line 3: "
+              "100,60,1,4000000000");
+  }
+  std::stringstream edge("0,60,999999,0\n");
+  EXPECT_EQ(ContactTrace::readCsv(edge).nodeCount(), std::size_t{kMaxTraceNodes});
+  std::stringstream over("0,60,1000000,0\n");
+  EXPECT_THROW(ContactTrace::readCsv(over), std::runtime_error);
+}
+
 TEST(Contact, PeerOfAndInvolves) {
   Contact c{0.0, 1.0, 3, 7};
   EXPECT_TRUE(c.involves(3));

@@ -104,6 +104,16 @@ TEST(OneFormat, EmptyInput) {
   EXPECT_EQ(r.trace.nodeCount(), 0u);
 }
 
+TEST(OneFormat, NegativeTimestampNamesTheLine) {
+  std::stringstream in("0 CONN a b up\n-5 CONN a b down\n");
+  try {
+    loadOneConnectivity(in);
+    FAIL() << "accepted a negative timestamp";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "negative timestamp on ONE trace line 2: -5 CONN a b down");
+  }
+}
+
 TEST(OneFormat, MissingFileThrows) {
   EXPECT_THROW(loadOneConnectivityFile("/nonexistent/path.txt"), std::runtime_error);
 }
